@@ -23,8 +23,9 @@ ArrivalGenerator::ArrivalGenerator(const ArrivalConfig& config, Rng rng)
   for (const BurstPhase& phase : config_.burst_phases) {
     CHECK_GT(phase.duration_sec, 0.0);
     CHECK_GE(phase.rate_multiplier, 0.0);
-    cycle_sec_ += phase.duration_sec;
   }
+  peak_rate_ = PeakRate();
+  candidate_mean_gap_sec_ = 1.0 / peak_rate_;
 }
 
 double ArrivalRateAt(const ArrivalConfig& config, double t) {
@@ -92,13 +93,12 @@ double ArrivalGenerator::PeakRate() const {
 }
 
 double ArrivalGenerator::Next() {
-  const double peak = PeakRate();
   for (;;) {
-    t_ += rng_.NextExponential(1.0 / peak);
+    t_ += rng_.NextExponential(candidate_mean_gap_sec_);
     // One uniform per candidate regardless of shape keeps the stream
     // layout identical across kinds (see the header).
     const double accept = rng_.NextDouble();
-    if (accept * peak < RateAt(t_)) {
+    if (accept * peak_rate_ < RateAt(t_)) {
       return t_;
     }
   }

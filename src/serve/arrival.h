@@ -76,7 +76,10 @@ class ArrivalGenerator {
  private:
   ArrivalConfig config_;
   Rng rng_;
-  double cycle_sec_ = 0.0;  // Total kBurst cycle length (0 = constant).
+  // PeakRate() and the candidate stream's mean gap 1 / PeakRate(), fixed
+  // by the config and so computed once, not per thinning candidate.
+  double peak_rate_ = 0.0;
+  double candidate_mean_gap_sec_ = 0.0;
   double t_ = 0.0;
 };
 

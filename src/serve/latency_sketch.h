@@ -5,10 +5,10 @@
 // a quantile is reported as the upper edge of the bucket containing it —
 // a deterministic overestimate whose relative error is bounded by the
 // bucket ratio (10^(1/kBucketsPerDecade) - 1, about 7.5%). Everything is
-// plain integer counters: Record() is a binary search plus an increment,
-// no allocation, no floating-point accumulation order to worry about —
-// the sketch merges and replays bit-identically for any thread count
-// (DESIGN.md §9).
+// plain integer counters: Record() is a table lookup, a few edge compares
+// and an increment, no allocation, no floating-point accumulation order to
+// worry about — the sketch merges and replays bit-identically for any
+// thread count (DESIGN.md §9).
 #ifndef COPART_SERVE_LATENCY_SKETCH_H_
 #define COPART_SERVE_LATENCY_SKETCH_H_
 
@@ -55,9 +55,10 @@ class LatencySketch {
   static double BucketUpperEdge(int index);
 
  private:
-  // Index of the bucket containing `latency_sec` (branch-free range clamp
-  // plus binary search over the precomputed edges — never floating log,
-  // whose libm rounding may differ across toolchains).
+  // Index of the bucket containing `latency_sec`: range checks, then a
+  // start index looked up by the value's exponent and top mantissa bits
+  // and a short scan over the precomputed edges — never floating log,
+  // whose libm rounding may differ across toolchains.
   static int BucketIndex(double latency_sec);
 
   std::array<uint64_t, kNumBuckets> buckets_;

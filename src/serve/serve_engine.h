@@ -7,8 +7,9 @@
 // the offered load never backs off), the queue is a fixed-capacity ring of
 // arrival timestamps (allocation-free after construction; the engine drops
 // at the tail when full), and every completed request's sojourn time is
-// recorded into two LatencySketches — a per-epoch one (the controller's
-// feedback signal) and a cumulative one (the run-level tail estimate).
+// recorded into a per-epoch LatencySketch (the controller's feedback
+// signal), which is merged into a cumulative one (the run-level tail
+// estimate) at the end of each epoch.
 //
 // AdvanceEpoch() runs the event loop over exactly one control period:
 // events are the held pending arrival and the head-of-line completion,
@@ -87,15 +88,21 @@ class LcServer {
   struct Ring {
     std::vector<double> slots;  // Arrival timestamps, FIFO order.
     size_t head = 0;
+    size_t tail = 0;  // Next free slot, (head + size_) mod capacity.
     size_t size_ = 0;
     bool full() const { return size_ == slots.size(); }
     double front() const { return slots[head]; }
     void push(double t) {
-      slots[(head + size_) % slots.size()] = t;
+      slots[tail] = t;
+      if (++tail == slots.size()) {
+        tail = 0;
+      }
       ++size_;
     }
     void pop() {
-      head = (head + 1) % slots.size();
+      if (++head == slots.size()) {
+        head = 0;
+      }
       --size_;
     }
   };

@@ -1,8 +1,13 @@
 // LcServer (src/serve/serve_engine.h): the conservation invariant
 // (arrivals == completions + drops + queue depth) after every epoch —
 // including overload, zero-capability stalls, and capability steps — plus
-// seed determinism of the whole event loop.
+// seed determinism of the whole event loop and a known-answer digest that
+// pins its exact output.
 #include "serve/serve_engine.h"
+
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
 
 #include <gtest/gtest.h>
 
@@ -94,6 +99,65 @@ TEST(LcServerTest, SameSeedIsBitIdentical) {
   EXPECT_EQ(a.total_arrivals(), b.total_arrivals());
   EXPECT_EQ(a.cumulative_latency().Quantile(0.99),
             b.cumulative_latency().Quantile(0.99));
+}
+
+// FNV-1a 64 folded over the bytes of each word, low byte first.
+uint64_t FoldFnv1a(uint64_t hash, std::initializer_list<uint64_t> words) {
+  for (uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(LcServerTest, KnownAnswerAcrossDropsStallsAndWrap) {
+  // Pins the engine's exact output, not just its self-consistency. A
+  // 64-slot queue under a 3x burst drops and wraps its ring thousands of
+  // times; the schedule stalls service outright for five epochs and then
+  // steps mu from 20 to 60 krps. Every epoch's counters and the bit
+  // patterns of its percentiles are folded into one digest, so any change
+  // to the draw order, the event interleaving, the ring or the sketch's
+  // bucket assignment moves it.
+  LcServerConfig config;
+  config.arrival.kind = ArrivalKind::kBurst;
+  config.arrival.base_rate_rps = 15000.0;
+  config.arrival.burst_phases = {{0.7, 1.0}, {0.3, 3.0}};
+  config.queue_capacity = 64;
+  LcServer server(config, Rng(2024));
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  uint64_t stalled_completions = 0;
+  for (int epoch = 0; epoch < 80; ++epoch) {
+    const bool stalled = epoch >= 20 && epoch < 25;
+    const double capability = stalled ? 0.0 : (epoch < 50 ? 1.2e9 : 3.6e9);
+    const EpochServeStats stats = server.AdvanceEpoch(0.1, capability);
+    ExpectConservation(server);
+    if (stalled) {
+      stalled_completions += stats.completions;
+    }
+    digest = FoldFnv1a(digest, {stats.arrivals, stats.completions,
+                                stats.drops, stats.queue_depth_end,
+                                Bits(stats.p50_ms), Bits(stats.p95_ms),
+                                Bits(stats.p99_ms)});
+  }
+  const LatencySketch& total = server.cumulative_latency();
+  // The scenario exercises what it claims to.
+  EXPECT_EQ(stalled_completions, 0u);
+  EXPECT_GT(server.total_drops(), 0u);
+  EXPECT_GT(server.total_completions(), 1000u * config.queue_capacity);
+
+  EXPECT_EQ(digest, 0x138875da8b2bc5fdULL);
+  EXPECT_EQ(server.total_arrivals(), 192054u);
+  EXPECT_EQ(server.total_completions(), 147210u);
+  EXPECT_EQ(server.total_drops(), 44839u);
+  EXPECT_EQ(server.queue_depth(), 5u);
+  EXPECT_EQ(total.count(), server.total_completions());
+  EXPECT_EQ(Bits(total.Quantile(0.50)), 0x3f151fea563d0d05ULL);
+  EXPECT_EQ(Bits(total.Quantile(0.95)), 0x3f6dea41aad97ca9ULL);
+  EXPECT_EQ(Bits(total.Quantile(0.99)), 0x3f7012cfaad0da13ULL);
 }
 
 TEST(LcServerTest, CapabilityStepMovesTheTail) {

@@ -1,11 +1,14 @@
 // LatencySketch (src/serve/latency_sketch.h): the fixed-bucket log-latency
 // histogram's quantiles must track exact sorted percentiles within one
-// bucket ratio (10^(1/32), ~7.5% relative), and the edge cases — empty,
-// underflow, overflow, merge — must saturate rather than misreport.
+// bucket ratio (10^(1/32), ~7.5% relative), every value must land in the
+// bucket a binary search over the frozen edges picks, and the edge cases —
+// empty, underflow, overflow, merge — must saturate rather than misreport.
 #include "serve/latency_sketch.h"
 
 #include <algorithm>
 #include <cmath>
+#include <ios>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +38,53 @@ TEST(LatencySketchTest, BucketEdgesAreMonotone) {
   // 8 decades above 1 us: the table tops out at 100 s.
   EXPECT_NEAR(LatencySketch::BucketUpperEdge(LatencySketch::kNumBuckets - 1),
               100.0, 1e-6);
+}
+
+TEST(LatencySketchTest, BucketAssignmentMatchesUpperBoundAtEveryEdge) {
+  // Bucket j (1 <= j <= kNumBuckets - 2) owns [edge[j-1], edge[j]); the
+  // underflow bucket owns everything below edge[0] (negatives and NaN count
+  // as 0) and the overflow bucket everything from the last edge up. That is
+  // std::upper_bound over the frozen edges, which the reference computes.
+  // Each value goes into a fresh sketch, whose Quantile(1.0) is the upper
+  // edge of the one occupied bucket; overflow() separates the overflow
+  // bucket from the last in-range one, which report the same edge.
+  std::vector<double> edges;
+  for (int j = 0; j < LatencySketch::kNumBuckets - 1; ++j) {
+    edges.push_back(LatencySketch::BucketUpperEdge(j));
+  }
+  const auto reference_bucket = [&](double value) {
+    const double clamped = value > 0.0 ? value : 0.0;
+    return static_cast<int>(
+        std::upper_bound(edges.begin(), edges.end(), clamped) -
+        edges.begin());
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                -1.0,
+                                -kInf,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                kInf,
+                                1e-300,
+                                1e300,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::max()};
+  for (double edge : edges) {
+    values.push_back(edge);
+    values.push_back(std::nextafter(edge, 0.0));
+    values.push_back(std::nextafter(edge, kInf));
+  }
+  for (double value : values) {
+    const int expected = reference_bucket(value);
+    LatencySketch sketch;
+    sketch.Record(value);
+    EXPECT_EQ(sketch.Quantile(1.0), LatencySketch::BucketUpperEdge(expected))
+        << "value " << std::hexfloat << value << " expected bucket "
+        << expected;
+    EXPECT_EQ(sketch.overflow(),
+              expected == LatencySketch::kNumBuckets - 1 ? 1u : 0u)
+        << "value " << std::hexfloat << value;
+  }
 }
 
 TEST(LatencySketchTest, QuantilesMatchExactPercentilesWithinBucketRatio) {
