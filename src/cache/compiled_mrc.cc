@@ -1,6 +1,7 @@
 #include "cache/compiled_mrc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "cache/miss_ratio_curve.h"
@@ -22,12 +23,24 @@ double EndSlope(double h0, double h1, double d0, double d1) {
   return m;
 }
 
+// A NaN payload the clamped exact solve never returns: marks an unfilled
+// below-grid memo slot.
+constexpr uint64_t kBelowGridUnset = ~uint64_t{0};
+
 }  // namespace
 
 CompiledMrc::CompiledMrc(const ReuseProfile& profile,
                          const CompiledMrcOptions& options) {
   CHECK_GE(options.samples_per_decade, 4u);
   CHECK_GT(options.min_capacity_bytes, 0u);
+
+  // Filled lazily: an eager fill would add a bisection per capacity to
+  // every compile, and most profiles never see a sub-grid capacity.
+  below_grid_ = std::make_unique<std::atomic<uint64_t>[]>(
+      options.min_capacity_bytes);
+  for (uint64_t c = 0; c < options.min_capacity_bytes; ++c) {
+    below_grid_[c].store(kBelowGridUnset, std::memory_order_relaxed);
+  }
 
   // Extend the grid past the total footprint so the flat tail (where only
   // streaming misses remain) is inside the table, not in the fallback.
@@ -110,6 +123,18 @@ CompiledMrc::CompiledMrc(const ReuseProfile& profile,
     }
   }
 
+  // One bucket per node: buckets split [x_.front(), x_.back()] evenly, so
+  // a bucket holds about one node of the uniform grid plus any knot.
+  bucket_scale_ = static_cast<double>(n) / (x_[n - 1] - x_[0]);
+  bucket_start_.resize(n);
+  size_t below = 0;
+  for (size_t b = 0; b < n; ++b) {
+    while (below < n && BucketOf(x_[below]) < b) {
+      ++below;
+    }
+    bucket_start_[b] = static_cast<uint32_t>(below);
+  }
+
   // PCHIP (Fritsch-Carlson) node slopes.
   slope_.assign(n, 0.0);
   if (n < 2) {
@@ -149,13 +174,28 @@ CompiledMrc::CompiledMrc(const ReuseProfile& profile,
   }
 }
 
+size_t CompiledMrc::BucketOf(double lx) const {
+  const double bucket = (lx - x_[0]) * bucket_scale_;
+  if (!(bucket > 0.0)) {
+    return 0;
+  }
+  const size_t last = bucket_start_.size() - 1;
+  return bucket < static_cast<double>(last) ? static_cast<size_t>(bucket)
+                                            : last;
+}
+
 double CompiledMrc::Evaluate(uint64_t capacity_bytes) const {
   CHECK(Covers(capacity_bytes));
   const double lx = std::log(static_cast<double>(capacity_bytes));
-  // Segment lookup; clamp guards the lx == x_.back() edge.
-  size_t i = static_cast<size_t>(
-      std::upper_bound(x_.begin(), x_.end(), lx) - x_.begin());
-  i = std::clamp<size_t>(i, 1, x_.size() - 1) - 1;
+  // Segment lookup: std::upper_bound's index, reached from the bucket's
+  // start by stepping over the nodes of lx's own bucket that lie at or
+  // below it. The clamp guards the lx == x_.back() edge.
+  const size_t n = x_.size();
+  size_t i = bucket_start_[BucketOf(lx)];
+  while (i < n && x_[i] <= lx) {
+    ++i;
+  }
+  i = std::clamp<size_t>(i, 1, n - 1) - 1;
 
   const double h = x_[i + 1] - x_[i];
   const double t = std::clamp((lx - x_[i]) / h, 0.0, 1.0);
@@ -166,6 +206,21 @@ double CompiledMrc::Evaluate(uint64_t capacity_bytes) const {
                        (-2.0 * t3 + 3.0 * t2) * y_[i + 1] +
                        (t3 - t2) * h * slope_[i + 1];
   return std::clamp(value, 0.0, 1.0);
+}
+
+double CompiledMrc::BelowGrid(uint64_t capacity_bytes,
+                              const ReuseProfile& profile) const {
+  CHECK_LT(capacity_bytes, min_capacity_bytes_);
+  // Relaxed is enough: a slot's bits are the whole message, and every
+  // thread that fills it computes the same bits from the same content.
+  std::atomic<uint64_t>& slot = below_grid_[capacity_bytes];
+  const uint64_t bits = slot.load(std::memory_order_relaxed);
+  if (bits != kBelowGridUnset) {
+    return std::bit_cast<double>(bits);
+  }
+  const double miss = profile.MissRatio(capacity_bytes);
+  slot.store(std::bit_cast<uint64_t>(miss), std::memory_order_relaxed);
+  return miss;
 }
 
 }  // namespace copart

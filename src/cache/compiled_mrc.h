@@ -17,9 +17,14 @@
 // cubic, which preserves the curve's defining invariant — monotone
 // non-increasing in capacity — segment by segment, so policies that rely on
 // "more ways never hurt" (UCP's marginal utilities, the heatmap
-// monotonicity tests) keep working. Queries outside the sampled range fall
-// back to the exact solve (capacity 0 and multi-GiB what-if probes are not
-// hot).
+// monotonicity tests) keep working.
+//
+// Every hot query is O(1). Evaluate finds its segment through a start-index
+// table keyed by the log-capacity bucket (no binary search), and the
+// shared-way fixed point's sub-grid capacities (0 to 63 bytes: an app left
+// a sliver of a shared way) read a per-capacity memo of the exact solve,
+// filled on first use. Only multi-GiB what-if probes above the grid still
+// run the exact solve per query; they are not hot.
 //
 // Accuracy at the default density is ~1e-5 relative, validated against the
 // exact solver over randomized mixtures in tests/cache_compiled_mrc_test.cc
@@ -27,8 +32,10 @@
 #ifndef COPART_CACHE_COMPILED_MRC_H_
 #define COPART_CACHE_COMPILED_MRC_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace copart {
@@ -41,11 +48,12 @@ struct CompiledMrcOptions {
   // of mixtures the workload surrogates use (see the property test); the
   // binding constraint is the knee where a mixture approaches its total
   // footprint and the curve bends fastest. Query cost is independent of the
-  // density (binary search), build cost is linear and paid once.
+  // density (bucketed segment lookup), build cost is linear and paid once.
   uint32_t samples_per_decade = 256;
-  // Grid span. Queries below/above fall back to the exact solve; the upper
-  // bound is automatically extended to 8x the profile's total footprint so
-  // the tail of the curve is always covered.
+  // Grid span. Queries below it read the exact-value memo, queries above it
+  // fall back to the exact solve; the upper bound is automatically extended
+  // to 8x the profile's total footprint so the tail of the curve is always
+  // covered.
   uint64_t min_capacity_bytes = 64;
   uint64_t max_capacity_bytes = 1ull << 30;  // 1 GiB
 };
@@ -56,8 +64,8 @@ class CompiledMrc {
               const CompiledMrcOptions& options = {});
 
   // True iff `capacity_bytes` lies inside the sampled grid; callers must
-  // use the exact solve otherwise (ReuseProfile::MissRatio(capacity, mode)
-  // does this automatically).
+  // use BelowGrid or the exact solve otherwise
+  // (ReuseProfile::MissRatio(capacity, mode) does this automatically).
   bool Covers(uint64_t capacity_bytes) const {
     return capacity_bytes >= min_capacity_bytes_ &&
            capacity_bytes <= max_capacity_bytes_;
@@ -66,11 +74,28 @@ class CompiledMrc {
   // Interpolated miss ratio; requires Covers(capacity_bytes).
   double Evaluate(uint64_t capacity_bytes) const;
 
+  // profile.MissRatio(capacity_bytes) for capacity_bytes <
+  // min_capacity_bytes(), bit for bit, solved once per capacity and then
+  // memoized. `profile` must have the content this table was compiled
+  // from. Thread-safe: racing first touches store identical bits.
+  double BelowGrid(uint64_t capacity_bytes, const ReuseProfile& profile) const;
+
   size_t num_samples() const { return x_.size(); }
   uint64_t min_capacity_bytes() const { return min_capacity_bytes_; }
   uint64_t max_capacity_bytes() const { return max_capacity_bytes_; }
 
+  // The interpolation nodes, ascending in capacity, for reference checks of
+  // Evaluate.
+  const std::vector<double>& node_log_capacities() const { return x_; }
+  const std::vector<double>& node_miss_ratios() const { return y_; }
+  const std::vector<double>& node_slopes() const { return slope_; }
+
  private:
+  // Log-capacity bucket of a node or query, in [0, bucket_start_.size()).
+  // Monotone non-decreasing in lx, which is all the lookup's exactness
+  // rests on.
+  size_t BucketOf(double lx) const;
+
   uint64_t min_capacity_bytes_ = 0;
   uint64_t max_capacity_bytes_ = 0;
   // Interpolation nodes: x_ = ln(capacity_bytes), y_ = exact miss ratio
@@ -78,6 +103,15 @@ class CompiledMrc {
   std::vector<double> x_;
   std::vector<double> y_;
   std::vector<double> slope_;
+  // bucket_start_[b]: the number of nodes whose bucket is below b. Every
+  // such node lies below any query in bucket b, and every node above
+  // bucket b lies above it, so a query starts here and steps only over
+  // its own bucket's nodes to reach std::upper_bound's answer exactly.
+  double bucket_scale_ = 0.0;
+  std::vector<uint32_t> bucket_start_;
+  // Bit patterns of the exact miss ratio at capacities [0,
+  // min_capacity_bytes_), kBelowGridUnset until first use.
+  std::unique_ptr<std::atomic<uint64_t>[]> below_grid_;
 };
 
 }  // namespace copart

@@ -1,7 +1,9 @@
 #include "cache/miss_ratio_curve.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <mutex>
 
 #include "cache/compiled_mrc.h"
@@ -18,11 +20,56 @@ constexpr double kLineBytes = 64.0;
 // precision is far below the model's own accuracy.
 constexpr int kBisectionIterations = 48;
 
+// The bits a compiled table is a function of (with the default
+// CompiledMrcOptions): the streaming weight, then each component's weight
+// and working set, in order.
+std::vector<uint64_t> ContentKey(const ReuseProfile& profile) {
+  std::vector<uint64_t> key;
+  key.reserve(1 + 2 * profile.components().size());
+  key.push_back(std::bit_cast<uint64_t>(profile.streaming_weight()));
+  for (const ReuseComponent& component : profile.components()) {
+    key.push_back(std::bit_cast<uint64_t>(component.weight));
+    key.push_back(component.working_set_bytes);
+  }
+  return key;
+}
+
+// The process-wide table for `profile`'s content: the live one if some
+// profile still holds it, else a fresh compile. Tables are held weakly, so
+// one lives exactly as long as a profile uses it. The compile runs outside
+// the lock; of two racing compiles of one content, the first to publish
+// wins and the other adopts its table.
+std::shared_ptr<const CompiledMrc> InternedTable(const ReuseProfile& profile) {
+  static std::mutex mutex;
+  static std::map<std::vector<uint64_t>, std::weak_ptr<const CompiledMrc>>
+      tables;
+  std::vector<uint64_t> key = ContentKey(profile);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = tables.find(key);
+    if (it != tables.end()) {
+      if (std::shared_ptr<const CompiledMrc> live = it->second.lock()) {
+        return live;
+      }
+    }
+  }
+  auto compiled = std::make_shared<const CompiledMrc>(profile);
+  std::lock_guard<std::mutex> lock(mutex);
+  std::erase_if(tables,
+                [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<const CompiledMrc>& slot = tables[std::move(key)];
+  if (std::shared_ptr<const CompiledMrc> published = slot.lock()) {
+    return published;
+  }
+  slot = compiled;
+  return compiled;
+}
+
 }  // namespace
 
 struct ReuseProfile::LazyCompiled {
   std::once_flag once;
-  std::unique_ptr<const CompiledMrc> table;
+  std::shared_ptr<const CompiledMrc> table;
 };
 
 ReuseProfile::ReuseProfile(std::vector<ReuseComponent> components,
@@ -112,14 +159,16 @@ double ReuseProfile::MissRatio(uint64_t capacity_bytes, MrcMode mode) const {
     if (table.Covers(capacity_bytes)) {
       return table.Evaluate(capacity_bytes);
     }
+    if (capacity_bytes < table.min_capacity_bytes()) {
+      return table.BelowGrid(capacity_bytes, *this);
+    }
   }
   return MissRatio(capacity_bytes);
 }
 
 const CompiledMrc& ReuseProfile::Compiled() const {
-  std::call_once(compiled_->once, [this] {
-    compiled_->table = std::make_unique<const CompiledMrc>(*this);
-  });
+  std::call_once(compiled_->once,
+                 [this] { compiled_->table = InternedTable(*this); });
   return *compiled_->table;
 }
 

@@ -44,8 +44,8 @@ class CompiledMrc;
 // mode for the whole epoch model):
 //   kExact    — per-query bisection on Che's occupancy balance (reference).
 //   kCompiled — precompiled monotone-interpolated table (cache/compiled_mrc
-//               .h), built once per profile on first use; ~1e-5 relative
-//               error, ~50x cheaper per query.
+//               .h), built once per distinct profile content on first use;
+//               ~1e-5 relative error, ~50x cheaper per query.
 enum class MrcMode {
   kExact,
   kCompiled,
@@ -72,13 +72,15 @@ class ReuseProfile {
   double MissRatio(uint64_t capacity_bytes) const;
 
   // Mode-dispatched query: kExact calls the solver above; kCompiled answers
-  // from Compiled() with an exact-solve fallback for capacities outside the
-  // table's grid (notably capacity 0).
+  // from Compiled(): interpolated on the table's grid, the memoized exact
+  // value below it (notably capacity 0), and the exact solve above it.
   double MissRatio(uint64_t capacity_bytes, MrcMode mode) const;
 
-  // The compiled table, built on first use (thread-safe) and memoized:
-  // copies of this profile — e.g. the same descriptor launched on every
-  // machine of a sweep — share one table.
+  // The compiled table, fetched on first use (thread-safe). There is one
+  // table per distinct content per process: every profile with the same
+  // components and streaming weight — copies, or the same descriptor built
+  // afresh for every submission of a fleet — shares it. The process holds
+  // tables weakly, so a table lives as long as some profile uses it.
   const CompiledMrc& Compiled() const;
 
   // Total footprint: largest component working set (streaming counts as

@@ -109,11 +109,9 @@ std::vector<WorkloadDescriptor> ClusterNode::ResidentWorkloads() const {
 std::vector<double> ClusterNode::CurrentSlowdowns() const {
   std::vector<double> slowdowns;
   for (AppId app : machine_.ListApps()) {
-    const double solo = machine_.SoloFullResourceIps(
-        machine_.Descriptor(app), machine_.AppCores(app));
     const double ips = machine_.LastEpoch(app).ips;
     if (ips > 0.0) {
-      slowdowns.push_back(Slowdown(solo, ips));
+      slowdowns.push_back(Slowdown(machine_.SoloIps(app), ips));
     }
   }
   return slowdowns;

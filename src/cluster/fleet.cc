@@ -521,9 +521,7 @@ void FleetController::PlanMigrations() {
       if (ips <= 0.0) {
         continue;
       }
-      const double solo = machine.SoloFullResourceIps(
-          machine.Descriptor(job.app), machine.AppCores(job.app));
-      const double slowdown = Slowdown(solo, ips);
+      const double slowdown = Slowdown(machine.SoloIps(job.app), ips);
       if (victim < 0 || slowdown > victim_slowdown) {
         victim = static_cast<int>(j);
         victim_slowdown = slowdown;

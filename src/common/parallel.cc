@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -27,6 +29,28 @@ double ProcessCpuSeconds() {
   }
 #endif
   return 0.0;
+}
+
+// The process-wide workers of every ParallelFor that resolves to
+// `num_threads`, created on first use and reused by every later call.
+// `fan_out` is held for a whole fan-out, so calls from distinct threads
+// take turns on the workers instead of mixing their cells.
+struct SharedPool {
+  explicit SharedPool(uint32_t num_threads)
+      : pool(num_threads, /*queue_capacity=*/num_threads) {}
+  std::mutex fan_out;
+  ThreadPool pool;
+};
+
+SharedPool& SharedPoolFor(uint32_t num_threads) {
+  static std::mutex mutex;
+  static std::map<uint32_t, std::unique_ptr<SharedPool>> pools;
+  std::lock_guard<std::mutex> lock(mutex);
+  std::unique_ptr<SharedPool>& pool = pools[num_threads];
+  if (pool == nullptr) {
+    pool = std::make_unique<SharedPool>(num_threads);
+  }
+  return *pool;
 }
 
 }  // namespace
@@ -179,10 +203,17 @@ void ThreadPool::WorkerLoop() {
 void ParallelFor(const ParallelConfig& config, size_t n,
                  const std::function<void(size_t)>& body,
                  SweepStats* stats) {
-  const uint32_t threads = static_cast<uint32_t>(
-      std::min<size_t>(config.ResolveThreads(), n > 0 ? n : 1));
-  const auto wall_start = std::chrono::steady_clock::now();
-  const double cpu_start = ProcessCpuSeconds();
+  const uint32_t resolved = config.ResolveThreads();
+  const uint32_t threads =
+      static_cast<uint32_t>(std::min<size_t>(resolved, n > 0 ? n : 1));
+  // The clocks are read only for a caller that asked for stats: the
+  // process CPU clock is a system call.
+  std::chrono::steady_clock::time_point wall_start;
+  double cpu_start = 0.0;
+  if (stats != nullptr) {
+    wall_start = std::chrono::steady_clock::now();
+    cpu_start = ProcessCpuSeconds();
+  }
   auto finish = [&](size_t cells) {
     if (stats != nullptr) {
       stats->cells_completed = cells;
@@ -224,7 +255,9 @@ void ParallelFor(const ParallelConfig& config, size_t n,
   std::exception_ptr error;
 
   {
-    ThreadPool pool(threads, /*queue_capacity=*/threads);
+    SharedPool& shared = SharedPoolFor(resolved);
+    std::lock_guard<std::mutex> turn(shared.fan_out);
+    ThreadPool& pool = shared.pool;
     for (uint32_t t = 0; t < threads; ++t) {
       pool.Submit([&] {
         while (!cancelled.load(std::memory_order_relaxed)) {

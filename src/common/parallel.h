@@ -7,9 +7,13 @@
 //
 //   ThreadPool    — a fixed-size pool with a bounded task queue and
 //                   exception propagation (Wait() rethrows).
-//   ParallelFor   — runs body(0..n) across the pool; cells claim indices
+//   ParallelFor   — runs body(0..n) across a pool; cells claim indices
 //                   from an atomic cursor, so load-balancing is dynamic but
-//                   every result lands in its own index slot.
+//                   every result lands in its own index slot. The pool is
+//                   not rebuilt per call: one process-wide ThreadPool per
+//                   resolved thread count is created on first use and
+//                   reused, and calls from distinct threads take turns on
+//                   it.
 //   ParallelMap   — ParallelFor that collects one value per index.
 //
 // Determinism contract: a cell may depend only on its index (each sweep
@@ -121,12 +125,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// Runs body(i) for i in [0, n) across ResolveThreads() workers and blocks
-// until all cells finish. If `stats` is non-null it receives the sweep's
-// cell count and wall/CPU timing. If any body invocation throws, remaining
-// unstarted cells are skipped and the lowest-indexed captured exception is
-// rethrown here. Throws std::logic_error when called with a resolved
-// thread count > 1 from inside another parallel region.
+// Runs body(i) for i in [0, n) across min(ResolveThreads(), n) workers of
+// the shared pool for ResolveThreads() and blocks until all cells finish.
+// If `stats` is non-null it receives the sweep's cell count and wall/CPU
+// timing; the clocks are not read otherwise. If any body invocation
+// throws, remaining unstarted cells are skipped and the lowest-indexed
+// captured exception is rethrown here. Throws std::logic_error when called
+// with a resolved thread count > 1 from inside another parallel region.
 void ParallelFor(const ParallelConfig& config, size_t n,
                  const std::function<void(size_t)>& body,
                  SweepStats* stats = nullptr);

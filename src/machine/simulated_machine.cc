@@ -50,6 +50,7 @@ Result<AppId> SimulatedMachine::LaunchApp(const WorkloadDescriptor& descriptor,
   app.descriptor = descriptor;
   app.num_cores = cores;
   app.launch_time = now_;
+  app.solo_ips = SoloFullResourceIps(descriptor, cores);
   used_cores_ += cores;
   ++app_generation_;
   ++input_generation_;
@@ -772,6 +773,10 @@ double SimulatedMachine::SoloFullResourceIps(
     ips = std::min(ips, grant / (mpi * config_.llc.line_bytes));
   }
   return ips;
+}
+
+double SimulatedMachine::SoloIps(AppId id) const {
+  return GetApp(id).solo_ips;
 }
 
 uint32_t SimulatedMachine::FreeCores() const {

@@ -221,6 +221,9 @@ class SimulatedMachine {
   double SoloFullResourceIps(const WorkloadDescriptor& descriptor,
                              std::optional<uint32_t> num_cores =
                                  std::nullopt) const;
+  // SoloFullResourceIps(Descriptor(id), AppCores(id)), computed once at
+  // launch: the slowdown reference of a resident app.
+  double SoloIps(AppId id) const;
 
   const MachineConfig& config() const { return config_; }
   uint32_t FreeCores() const;
@@ -236,6 +239,7 @@ class SimulatedMachine {
     WorkloadDescriptor descriptor;
     uint32_t num_cores = 0;
     double launch_time = 0.0;
+    double solo_ips = 0.0;
   };
 
   // Phase-adjusted model parameters for one epoch (workload phases scale

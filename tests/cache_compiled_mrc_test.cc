@@ -1,10 +1,14 @@
 // Property tests for the compiled (table-interpolated) miss-ratio curves
 // against the exact Che solver: tight pointwise agreement across randomized
 // reuse mixtures, monotonicity (the invariant UCP-style policies rely on),
-// and exact endpoints.
+// and exact endpoints. Also pins how tables are shared (one per distinct
+// content, held weakly), the bit-exact sub-grid memo, and the bucketed
+// segment lookup against std::upper_bound.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +17,7 @@
 
 #include "cache/compiled_mrc.h"
 #include "cache/miss_ratio_curve.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "workload/workload.h"
@@ -128,7 +133,7 @@ TEST(CompiledMrcTest, TableIsSharedAcrossProfileCopies) {
   const ReuseProfile original = Sp().reuse_profile;
   const ReuseProfile copy = original;
   // Same table object, not merely equal contents: compilation is memoized
-  // per descriptor.
+  // per profile content.
   EXPECT_EQ(&original.Compiled(), &copy.Compiled());
 }
 
@@ -154,6 +159,170 @@ TEST(CompiledMrcTest, HigherDensityTightensTheTable) {
   }
   EXPECT_LT(fine_err, coarse_err);
   EXPECT_LE(fine_err, 1e-5);
+}
+
+// A profile whose content no surrogate and no other test uses, so the test
+// that builds it owns every holder of its table.
+ReuseProfile UniqueProfile(double streaming_weight) {
+  return ReuseProfile({{0.41, MiB(3) + 4321}, {0.17, KiB(96) + 7}},
+                      streaming_weight);
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// Every Table 2 surrogate, memcached and `random_count` random mixtures.
+std::vector<ReuseProfile> SurrogateAndRandomProfiles(size_t random_count) {
+  std::vector<ReuseProfile> profiles;
+  for (const WorkloadDescriptor& descriptor : AllTable2Benchmarks()) {
+    profiles.push_back(descriptor.reuse_profile);
+  }
+  profiles.push_back(Memcached().reuse_profile);
+  Rng rng(0x5E9);
+  for (size_t i = 0; i < random_count; ++i) {
+    profiles.push_back(RandomProfile(rng));
+  }
+  return profiles;
+}
+
+TEST(CompiledMrcInternTest, IndependentlyBuiltEqualProfilesShareOneTable) {
+  // Two fresh descriptors, as the fleet builds one per LC submission.
+  const WorkloadDescriptor first = Memcached();
+  const WorkloadDescriptor second = Memcached();
+  EXPECT_EQ(&first.reuse_profile.Compiled(),
+            &second.reuse_profile.Compiled());
+}
+
+TEST(CompiledMrcInternTest, StreamingWeightOneUlpApartGetsItsOwnTable) {
+  const ReuseProfile base = UniqueProfile(0.05);
+  const ReuseProfile other = UniqueProfile(std::nextafter(0.05, 1.0));
+  EXPECT_NE(&base.Compiled(), &other.Compiled());
+}
+
+TEST(CompiledMrcInternTest, TableLivesExactlyAsLongAsItsHolders) {
+  // Filling a sub-grid memo slot from a different profile marks the table:
+  // a profile that shares it reads the mark instead of its own exact value.
+  const ReuseProfile marker({{0.9, MiB(1)}}, 0.0);
+  constexpr uint64_t kSlot = 17;
+  auto holder = std::make_unique<ReuseProfile>(UniqueProfile(0.03));
+  const double mark = holder->Compiled().BelowGrid(kSlot, marker);
+  ASSERT_NE(Bits(mark), Bits(holder->MissRatio(kSlot)));
+  {
+    const ReuseProfile sibling = UniqueProfile(0.03);
+    EXPECT_EQ(&sibling.Compiled(), &holder->Compiled());
+    EXPECT_EQ(Bits(sibling.MissRatio(kSlot, MrcMode::kCompiled)), Bits(mark));
+  }
+  holder.reset();
+  // The last holder is gone, so an equal profile compiles a fresh table.
+  const ReuseProfile fresh = UniqueProfile(0.03);
+  EXPECT_EQ(Bits(fresh.MissRatio(kSlot, MrcMode::kCompiled)),
+            Bits(fresh.MissRatio(kSlot)));
+}
+
+TEST(CompiledMrcInternTest, RacingFirstUsesOfEqualProfilesSeeOneTable) {
+  constexpr uint32_t kWorkers = 8;
+  std::vector<ReuseProfile> profiles;
+  for (uint32_t i = 0; i < kWorkers; ++i) {
+    profiles.push_back(UniqueProfile(0.07));
+  }
+  std::vector<const CompiledMrc*> tables(kWorkers, nullptr);
+  ParallelFor(ParallelConfig{.num_threads = kWorkers}, kWorkers,
+              [&](size_t i) { tables[i] = &profiles[i].Compiled(); });
+  for (uint32_t i = 1; i < kWorkers; ++i) {
+    EXPECT_EQ(tables[i], tables[0]) << "worker " << i;
+  }
+}
+
+TEST(CompiledMrcBelowGridTest, MatchesExactSolveBitForBit) {
+  for (const ReuseProfile& profile : SurrogateAndRandomProfiles(20)) {
+    const uint64_t limit = profile.Compiled().min_capacity_bytes();
+    ASSERT_EQ(limit, 64u);
+    // Twice: the first pass fills the memo, the second reads it.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (uint64_t capacity = 0; capacity < limit; ++capacity) {
+        EXPECT_EQ(Bits(profile.MissRatio(capacity, MrcMode::kCompiled)),
+                  Bits(profile.MissRatio(capacity)))
+            << "pass " << pass << " capacity " << capacity;
+      }
+    }
+  }
+}
+
+TEST(CompiledMrcBelowGridTest, RacingFirstTouchesStoreTheExactBits) {
+  constexpr uint32_t kWorkers = 8;
+  const ReuseProfile profile = UniqueProfile(0.11);
+  const uint64_t limit = profile.Compiled().min_capacity_bytes();
+  std::vector<uint64_t> expected(limit);
+  for (uint64_t capacity = 0; capacity < limit; ++capacity) {
+    expected[capacity] = Bits(profile.MissRatio(capacity));
+  }
+  std::vector<std::vector<uint64_t>> seen(kWorkers,
+                                          std::vector<uint64_t>(limit));
+  ParallelFor(ParallelConfig{.num_threads = kWorkers}, kWorkers,
+              [&](size_t worker) {
+                for (uint64_t capacity = 0; capacity < limit; ++capacity) {
+                  seen[worker][capacity] =
+                      Bits(profile.MissRatio(capacity, MrcMode::kCompiled));
+                }
+              });
+  for (uint32_t worker = 0; worker < kWorkers; ++worker) {
+    EXPECT_EQ(seen[worker], expected) << "worker " << worker;
+  }
+}
+
+// Evaluate with its segment found by std::upper_bound, the lookup the
+// bucket table replaced, and the same interpolation expression.
+double UpperBoundEvaluate(const CompiledMrc& table, uint64_t capacity) {
+  const std::vector<double>& x = table.node_log_capacities();
+  const std::vector<double>& y = table.node_miss_ratios();
+  const std::vector<double>& slope = table.node_slopes();
+  const double lx = std::log(static_cast<double>(capacity));
+  size_t i = static_cast<size_t>(std::upper_bound(x.begin(), x.end(), lx) -
+                                 x.begin());
+  i = std::clamp<size_t>(i, 1, x.size() - 1) - 1;
+  const double h = x[i + 1] - x[i];
+  const double t = std::clamp((lx - x[i]) / h, 0.0, 1.0);
+  const double t2 = t * t;
+  const double t3 = t2 * t;
+  const double value = (2.0 * t3 - 3.0 * t2 + 1.0) * y[i] +
+                       (t3 - 2.0 * t2 + t) * h * slope[i] +
+                       (-2.0 * t3 + 3.0 * t2) * y[i + 1] +
+                       (t3 - t2) * h * slope[i + 1];
+  return std::clamp(value, 0.0, 1.0);
+}
+
+TEST(CompiledMrcTest, BucketedLookupMatchesUpperBoundBitForBit) {
+  for (const ReuseProfile& profile : SurrogateAndRandomProfiles(50)) {
+    const CompiledMrc& table = profile.Compiled();
+    std::vector<uint64_t> capacities;
+    // Dense log sweep, 0.1% steps, from the grid's bottom to its top.
+    for (uint64_t capacity = table.min_capacity_bytes();
+         capacity < table.max_capacity_bytes();
+         capacity = std::max(capacity + 1, capacity + capacity / 1000)) {
+      capacities.push_back(capacity);
+    }
+    capacities.push_back(table.max_capacity_bytes());
+    // Every node and its neighbours: the segment edges.
+    for (const double lx : table.node_log_capacities()) {
+      const auto node = static_cast<uint64_t>(std::llround(std::exp(lx)));
+      for (const uint64_t capacity : {node - 1, node, node + 1}) {
+        if (table.Covers(capacity)) {
+          capacities.push_back(capacity);
+        }
+      }
+    }
+    size_t mismatches = 0;
+    for (const uint64_t capacity : capacities) {
+      if (Bits(table.Evaluate(capacity)) !=
+          Bits(UpperBoundEvaluate(table, capacity))) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "capacity " << capacity << ": bucketed="
+                        << table.Evaluate(capacity) << " upper_bound="
+                        << UpperBoundEvaluate(table, capacity);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << capacities.size() << " capacities";
+  }
 }
 
 TEST(CompiledMrcTest, CoversReportsGridRange)  {

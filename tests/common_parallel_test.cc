@@ -1,12 +1,15 @@
 // The deterministic parallel engine: ThreadPool semantics (bounded queue,
 // exception propagation), ParallelFor/ParallelMap correctness, nested-use
-// rejection, and sweep observability.
+// rejection, reuse of the shared workers, and sweep observability.
 #include "common/parallel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -183,6 +186,88 @@ TEST(ParallelForTest, ParallelNestingIsRejected) {
                                 [](size_t) {});
                   }),
       std::logic_error);
+}
+
+TEST(ParallelForPoolTest, SequentialCallsReuseTheSameWorkers) {
+  // A joined thread's id may be handed to the next thread, so ids alone
+  // cannot tell reuse from respawn. Thread-local state can: it outlives a
+  // call only on a reused worker.
+  static thread_local size_t cells_on_this_thread = 0;
+  constexpr size_t kCalls = 100;
+  constexpr size_t kCells = 8;
+  std::mutex mutex;
+  std::set<std::thread::id> workers;
+  size_t most_cells_on_one_thread = 0;
+  for (size_t call = 0; call < kCalls; ++call) {
+    ParallelFor(ParallelConfig{.num_threads = 2}, kCells, [&](size_t) {
+      const size_t seen = ++cells_on_this_thread;
+      std::lock_guard<std::mutex> lock(mutex);
+      workers.insert(std::this_thread::get_id());
+      most_cells_on_one_thread = std::max(most_cells_on_one_thread, seen);
+    });
+  }
+  EXPECT_LE(workers.size(), 2u);
+  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
+  // Two workers ran all kCalls * kCells cells, so one ran at least half.
+  EXPECT_GE(most_cells_on_one_thread, kCalls * kCells / 2);
+}
+
+TEST(ParallelForPoolTest, ReusedPoolKeepsNestingAndErrorContracts) {
+  for (int call = 0; call < 10; ++call) {
+    ParallelFor(ParallelConfig{.num_threads = 2}, 16, [](size_t) {});
+  }
+  EXPECT_THROW(
+      ParallelFor(ParallelConfig{.num_threads = 2}, 4,
+                  [](size_t) {
+                    ParallelFor(ParallelConfig{.num_threads = 2}, 4,
+                                [](size_t) {});
+                  }),
+      std::logic_error);
+  // Cells are claimed in index order, so cell 10 always runs before the
+  // fan-out can cancel, and its error must win over cell 90's.
+  for (int call = 0; call < 10; ++call) {
+    try {
+      ParallelFor(ParallelConfig{.num_threads = 2}, 100, [](size_t i) {
+        if (i == 10 || i == 90) {
+          throw std::runtime_error("cell " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected a cell exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "cell 10");
+    }
+  }
+  // The pool still runs every cell after the failures.
+  std::vector<std::atomic<int>> visits(64);
+  ParallelFor(ParallelConfig{.num_threads = 2}, visits.size(),
+              [&](size_t i) { visits[i].fetch_add(1); });
+  for (size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "cell " << i;
+  }
+}
+
+TEST(ParallelForPoolTest, ConcurrentCallersBothComplete) {
+  constexpr size_t kCells = 500;
+  std::vector<size_t> first(kCells);
+  std::vector<size_t> second(kCells);
+  std::thread a([&] {
+    for (int call = 0; call < 20; ++call) {
+      ParallelFor(ParallelConfig{.num_threads = 2}, kCells,
+                  [&](size_t i) { first[i] += i; });
+    }
+  });
+  std::thread b([&] {
+    for (int call = 0; call < 20; ++call) {
+      ParallelFor(ParallelConfig{.num_threads = 2}, kCells,
+                  [&](size_t i) { second[i] += 3 * i; });
+    }
+  });
+  a.join();
+  b.join();
+  for (size_t i = 0; i < kCells; ++i) {
+    EXPECT_EQ(first[i], 20 * i) << "cell " << i;
+    EXPECT_EQ(second[i], 60 * i) << "cell " << i;
+  }
 }
 
 TEST(ParallelMapTest, ResultsLandInIndexOrderForEveryThreadCount) {

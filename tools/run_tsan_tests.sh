@@ -18,6 +18,9 @@ cmake -B "$BUILD_DIR" -S . \
   -DCOPART_SANITIZE=thread
 
 TESTS=(
+  # Compiled miss-ratio curves are interned process-wide and their sub-grid
+  # memo fills lazily; the fleet's node workers reach both concurrently.
+  cache_compiled_mrc_test
   # The fleet controller ticks hundreds of nodes on the pool every epoch
   # and scores migration candidates with a parallel what-if fan-out; the
   # chaos suite additionally fans 200 whole fleet schedules out on the
