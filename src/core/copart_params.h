@@ -146,7 +146,8 @@ struct ResourceManagerParams {
 
   // Which PartitionPolicy drives classification/allocation
   // (core/partition_policy.h): "copart" (default; the paper's per-app
-  // controller), "lfoc", "lfoc+", or "cbp".
+  // controller), its "cat-only"/"mba-only" modes, the "lfoc", "lfoc+" and
+  // "cbp" rivals, or the "eq", "nopart" and "dcat" baselines.
   std::string partition_policy = "copart";
 
   // CLOS budget the policy may use for its partition slots, on top of the
@@ -180,11 +181,6 @@ struct ResourceManagerParams {
   // idle) that re-triggers adaptation, e.g. when an outer server manager
   // resizes the pool (§5.4.3, §6.3).
   double idle_ips_drift_threshold = 0.20;
-
-  // Feature gates used to express the paper's baselines: CAT-only freezes
-  // MBA moves, MBA-only freezes LLC moves. CoPart enables both.
-  bool enable_llc_partitioning = true;
-  bool enable_mba_partitioning = true;
 
   // RNG seed for the randomized pieces (neighbor states, ANY tie-breaks).
   uint64_t seed = 0xC0'FA'27ULL;

@@ -8,8 +8,20 @@
 namespace copart {
 
 CoPartPartitionPolicy::CoPartPartitionPolicy(
-    const ResourceManagerParams& params)
-    : params_(params) {}
+    const ResourceManagerParams& params, Mode mode)
+    : params_(params), mode_(mode) {}
+
+std::string CoPartPartitionPolicy::name() const {
+  switch (mode_) {
+    case Mode::kCoordinated:
+      return "copart";
+    case Mode::kCatOnly:
+      return "cat-only";
+    case Mode::kMbaOnly:
+      return "mba-only";
+  }
+  return "?";
+}
 
 void CoPartPartitionPolicy::OnAppAdded() {
   apps_.push_back(AppState{.llc_fsm = LlcClassifierFsm(params_.classifier),
@@ -87,7 +99,7 @@ PartitionDecision CoPartPartitionPolicy::FairShare(const ResourcePool& pool,
   // producer/consumer formulation. When MBA moves are disabled (the
   // CAT-only baseline's "equal memory bandwidth partitioning"), the levels
   // are frozen at the equal static share instead.
-  if (params_.enable_mba_partitioning) {
+  if (mba_moves()) {
     return MakePerAppDecision(SystemState::EqualShare(pool, num_apps));
   }
   return MakePerAppDecision(SystemState::EqualShareThrottled(pool, num_apps));
@@ -141,19 +153,15 @@ PartitionDecision CoPartPartitionPolicy::Allocate(
                   // needs.
   MatchResult match =
       params_.matcher
-          ? params_.matcher(current, infos_, rng,
-                            params_.enable_llc_partitioning,
-                            params_.enable_mba_partitioning)
-          : GetNextSystemState(current, infos_, rng,
-                               params_.enable_llc_partitioning,
-                               params_.enable_mba_partitioning);
+          ? params_.matcher(current, infos_, rng, llc_moves(), mba_moves())
+          : GetNextSystemState(current, infos_, rng, llc_moves(),
+                               mba_moves());
 
   SystemState next = match.next_state;
   bool used_neighbor = false;
   if (next == current) {
     if (retry_count_ < params_.theta) {
-      next = current.RandomNeighbor(rng, params_.enable_llc_partitioning,
-                                    params_.enable_mba_partitioning);
+      next = current.RandomNeighbor(rng, llc_moves(), mba_moves());
       used_neighbor = true;
       ++retry_count_;
     } else {

@@ -6,6 +6,10 @@
 // neighbor retry. One CLOS per app, profiling on, best-state restore on —
 // byte-identical to the pre-refactor ResourceManager (the golden experiment
 // suites pin this).
+//
+// The paper's single-resource baselines are modes of the same controller:
+// CAT-only ("cat-only") freezes MBA moves at the equal static share, and
+// MBA-only ("mba-only") freezes LLC moves at the equal split.
 #ifndef COPART_CORE_COPART_PARTITION_POLICY_H_
 #define COPART_CORE_COPART_PARTITION_POLICY_H_
 
@@ -20,9 +24,12 @@ namespace copart {
 
 class CoPartPartitionPolicy : public PartitionPolicy {
  public:
-  explicit CoPartPartitionPolicy(const ResourceManagerParams& params);
+  enum class Mode { kCoordinated, kCatOnly, kMbaOnly };
 
-  std::string name() const override { return "copart"; }
+  explicit CoPartPartitionPolicy(const ResourceManagerParams& params,
+                                 Mode mode = Mode::kCoordinated);
+
+  std::string name() const override;
   bool per_app_groups() const override { return true; }
   bool needs_profiling() const override { return true; }
   bool restore_best_state() const override { return true; }
@@ -56,7 +63,11 @@ class CoPartPartitionPolicy : public PartitionPolicy {
     MbaClassifierFsm mba_fsm;
   };
 
+  bool llc_moves() const { return mode_ != Mode::kMbaOnly; }
+  bool mba_moves() const { return mode_ != Mode::kCatOnly; }
+
   ResourceManagerParams params_;
+  Mode mode_;
   std::vector<AppState> apps_;
   // Matcher inputs assembled by Classify (consumed by Allocate same period).
   std::vector<MatchAppInfo> infos_;

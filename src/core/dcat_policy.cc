@@ -1,58 +1,40 @@
 #include "core/dcat_policy.h"
 
-#include <algorithm>
+#include <sys/types.h>
 
 #include "common/logging.h"
 
 namespace copart {
 
-DcatPolicy::DcatPolicy(Resctrl* resctrl, PerfMonitor* monitor,
-                       std::vector<AppId> apps, ResourcePool pool)
-    : resctrl_(resctrl), monitor_(monitor), pool_(pool) {
-  CHECK_NE(resctrl, nullptr);
-  CHECK_NE(monitor, nullptr);
-  CHECK(!apps.empty());
-  CHECK_GE(pool.num_ways, apps.size());
-  for (AppId app : apps) {
-    AppState state;
-    state.id = app;
-    apps_.push_back(state);
-  }
+void DcatPolicy::OnAppAdded() { apps_.push_back(AppState{}); }
+
+void DcatPolicy::OnAppRemoved(size_t index) {
+  apps_.erase(apps_.begin() + static_cast<ptrdiff_t>(index));
 }
 
-void DcatPolicy::Start() {
+PartitionDecision DcatPolicy::StartExploration(const ResourcePool& pool,
+                                               size_t num_apps) {
+  CHECK_EQ(num_apps, apps_.size());
+  apps_.assign(num_apps, AppState{});
+  tick_ = 0;
+  return FairShare(pool, num_apps);
+}
+
+PartitionDecision DcatPolicy::FairShare(const ResourcePool& pool,
+                                        size_t num_apps) const {
   // Equal LLC start; MBA frozen at the equal static share (dCat does not
   // manage bandwidth).
-  state_ = SystemState::EqualShareThrottled(pool_, apps_.size());
-  for (size_t i = 0; i < apps_.size(); ++i) {
-    Result<ResctrlGroupId> group = resctrl_->CreateGroup(
-        "dcat_app_" + std::to_string(apps_[i].id.value()));
-    CHECK(group.ok()) << group.status().ToString();
-    apps_[i].group = *group;
-    Status status = resctrl_->AssignApp(*group, apps_[i].id);
-    CHECK(status.ok()) << status.ToString();
-    monitor_->Attach(apps_[i].id);
-  }
-  Apply();
+  return MakePerAppDecision(SystemState::EqualShareThrottled(pool, num_apps));
 }
 
-void DcatPolicy::Apply() {
-  CHECK(state_.Valid());
+void DcatPolicy::Classify(const std::vector<PolicySignals>& signals) {
+  CHECK_EQ(signals.size(), apps_.size());
   for (size_t i = 0; i < apps_.size(); ++i) {
-    Status status =
-        resctrl_->SetCacheMask(apps_[i].group, state_.WayMaskBits(i));
-    CHECK(status.ok()) << status.ToString();
-    status = resctrl_->SetMbaPercent(
-        apps_[i].group, state_.allocation(i).mba_level.percent());
-    CHECK(status.ok()) << status.ToString();
-  }
-}
-
-void DcatPolicy::Tick() {
-  // 1. Update benefit estimates from the last period's outcome.
-  for (AppState& app : apps_) {
-    const PmcSample sample = monitor_->Sample(app.id);
-    const double ips = sample.Ips();
+    if (!signals[i].healthy) {
+      continue;  // An untrusted sample must not move the estimate.
+    }
+    AppState& app = apps_[i];
+    const double ips = signals[i].ips;
     if (app.prev_ips > 0.0 && ips > 0.0) {
       const double relative_change = (ips - app.prev_ips) / app.prev_ips;
       if (app.last_delta_ways != 0) {
@@ -70,65 +52,69 @@ void DcatPolicy::Tick() {
     app.prev_ips = ips;
     app.last_delta_ways = 0;
   }
+}
 
+PartitionDecision DcatPolicy::Allocate(
+    const SystemState& current, const std::vector<PolicySignals>& /*signals*/,
+    Rng& /*rng*/) {
+  CHECK_EQ(current.NumApps(), apps_.size());
   ++tick_;
   const size_t n = apps_.size();
+  SystemState next = current;
 
-  // 2a. Cold-start probe: cycle a way to each app in turn (taken from the
-  //     currently largest allocation) so every benefit estimate receives a
-  //     signed sample before the steady-state policy kicks in.
+  // Cold-start probe: cycle a way to each app in turn (taken from the
+  // currently largest allocation) so every benefit estimate receives a
+  // signed sample before the steady-state policy kicks in.
   if (tick_ <= 2 * n && n > 1) {
     const size_t target = static_cast<size_t>(tick_ % n);
     ssize_t donor = -1;
     for (size_t i = 0; i < n; ++i) {
-      if (i == target || state_.allocation(i).llc_ways <= 1) {
+      if (i == target || next.allocation(i).llc_ways <= 1) {
         continue;
       }
-      if (donor < 0 || state_.allocation(i).llc_ways >
-                           state_.allocation(static_cast<size_t>(donor))
+      if (donor < 0 || next.allocation(i).llc_ways >
+                           next.allocation(static_cast<size_t>(donor))
                                .llc_ways) {
         donor = static_cast<ssize_t>(i);
       }
     }
     if (donor >= 0) {
-      --state_.allocation(static_cast<size_t>(donor)).llc_ways;
-      ++state_.allocation(target).llc_ways;
+      --next.allocation(static_cast<size_t>(donor)).llc_ways;
+      ++next.allocation(target).llc_ways;
       apps_[static_cast<size_t>(donor)].last_delta_ways = -1;
       apps_[target].last_delta_ways = 1;
-      Apply();
     }
-    return;
+    return MakePerAppDecision(std::move(next));
   }
 
-  // 2b. Steepest feasible transfer: the highest estimated gainer takes one
-  //     way from the lowest estimated loser.
+  // Steepest feasible transfer: the highest estimated gainer takes one way
+  // from the lowest estimated loser.
   ssize_t gainer = -1, loser = -1;
-  for (size_t i = 0; i < apps_.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     if (gainer < 0 || apps_[i].benefit_estimate >
                           apps_[static_cast<size_t>(gainer)].benefit_estimate) {
       gainer = static_cast<ssize_t>(i);
     }
-    if (state_.allocation(i).llc_ways > 1 &&
+    if (next.allocation(i).llc_ways > 1 &&
         (loser < 0 || apps_[i].benefit_estimate <
                           apps_[static_cast<size_t>(loser)].benefit_estimate)) {
       loser = static_cast<ssize_t>(i);
     }
   }
   if (gainer < 0 || loser < 0 || gainer == loser) {
-    return;
+    return MakePerAppDecision(std::move(next));
   }
   AppState& gain_app = apps_[static_cast<size_t>(gainer)];
   AppState& lose_app = apps_[static_cast<size_t>(loser)];
   // Transfer only when the gainer's estimated benefit meaningfully exceeds
   // the loser's (hysteresis against thrash).
-  if (gain_app.benefit_estimate - lose_app.benefit_estimate < kMinBenefit) {
-    return;
+  if (gain_app.benefit_estimate - lose_app.benefit_estimate >= kMinBenefit) {
+    --next.allocation(static_cast<size_t>(loser)).llc_ways;
+    ++next.allocation(static_cast<size_t>(gainer)).llc_ways;
+    gain_app.last_delta_ways = 1;
+    lose_app.last_delta_ways = -1;
   }
-  --state_.allocation(static_cast<size_t>(loser)).llc_ways;
-  ++state_.allocation(static_cast<size_t>(gainer)).llc_ways;
-  gain_app.last_delta_ways = 1;
-  lose_app.last_delta_ways = -1;
-  Apply();
+  return MakePerAppDecision(std::move(next));
 }
 
 }  // namespace copart

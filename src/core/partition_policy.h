@@ -6,9 +6,12 @@
 // unfairness-trend governor, SLO slices and all telemetry. A PartitionPolicy
 // owns the *decisions*: how sampled signals classify apps and which partition
 // the machine should run next. CoPart's per-app classifier-FSMs + HR matching
-// is one implementation (core/copart_partition_policy.h); the LFOC/LFOC+
-// clustering rivals and the CBP prefetch coordinator are others
-// (core/lfoc_policy.h, core/cbp_policy.h).
+// is one implementation (core/copart_partition_policy.h, which also covers
+// the CAT-only and MBA-only baselines); the LFOC/LFOC+ clustering rivals and
+// the CBP prefetch coordinator are others (core/lfoc_policy.h,
+// core/cbp_policy.h), and so are the baselines: the static EQ, NoPart, ST
+// and UCP (core/static_policy.h) and the dCat feedback loop
+// (core/dcat_policy.h).
 //
 // Slot shapes. A decision's SystemState is *slot*-shaped: per-app policies
 // emit one slot per app (slot i == app i, the classic CoPart layout), while
@@ -79,8 +82,10 @@ struct PartitionDecision {
   // Telemetry: the per-app classes the decision was derived from.
   std::vector<ResourceClass> llc_classes;
   std::vector<ResourceClass> mba_classes;
-  // Exploration bookkeeping (per-app CoPart): true ends exploration (the
-  // driver parks in idle); used_neighbor/retries feed trace + audit.
+  // Exploration bookkeeping: true ends exploration (the driver parks in
+  // idle). A converged opening decision (StartExploration) is how a static
+  // policy skips exploration altogether. used_neighbor/retries feed trace
+  // + audit.
   bool converged = false;
   bool used_neighbor = false;
   int retries = 0;
@@ -125,7 +130,8 @@ class PartitionPolicy {
   virtual void ObserveProbeSkipped(size_t /*app*/) {}
 
   // Resets exploration state and returns the opening decision. The driver
-  // actuates it and starts feeding Classify/Allocate each period.
+  // actuates it and starts feeding Classify/Allocate each period — unless
+  // the decision is converged, in which case the driver parks in idle.
   virtual PartitionDecision StartExploration(const ResourcePool& pool,
                                              size_t num_apps) = 0;
 
@@ -149,8 +155,10 @@ class PartitionPolicy {
   virtual ResourceClass MbaClassOf(size_t app) const = 0;
 };
 
-// Factory: builds the policy named by `name` ("copart", "lfoc", "lfoc+",
-// "cbp"); CHECK-fails on an unknown name.
+// Factory: builds the policy named by `name` — "copart", "cat-only",
+// "mba-only", "lfoc", "lfoc+", "cbp", "eq", "nopart" or "dcat" (ST and UCP
+// need the machine, so the harness builds them as fixed-state
+// StaticPartitionPolicy instances); CHECK-fails on an unknown name.
 std::unique_ptr<PartitionPolicy> MakePartitionPolicy(
     const std::string& name, const ResourceManagerParams& params);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "membw/mba_throttle_model.h"
@@ -24,6 +25,12 @@ constexpr uint64_t kBackoffStream = 0xBAC0FFULL;
 
 ResourceManager::ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
                                  const ResourceManagerParams& params)
+    : ResourceManager(resctrl, monitor, params,
+                      MakePartitionPolicy(params.partition_policy, params)) {}
+
+ResourceManager::ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
+                                 const ResourceManagerParams& params,
+                                 std::unique_ptr<PartitionPolicy> policy)
     : resctrl_(resctrl),
       monitor_(monitor),
       params_(params),
@@ -35,7 +42,8 @@ ResourceManager::ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
                rng_.Fork(kBackoffStream)) {
   CHECK_NE(resctrl, nullptr);
   CHECK_NE(monitor, nullptr);
-  policy_ = MakePartitionPolicy(params_.partition_policy, params_);
+  CHECK(policy != nullptr);
+  policy_ = std::move(policy);
   pool_ = ResourcePool{
       .first_way = 0,
       .num_ways = resctrl_->machine().config().llc.num_ways,
@@ -509,6 +517,7 @@ ResourceManager::ActuationPlan ResourceManager::PlanForState(
     const SystemState& state) const {
   CHECK(state.Valid());
   CHECK_EQ(state.NumApps(), apps_.size());
+  const SimulatedMachine& machine = resctrl_->machine();
   ActuationPlan plan;
   plan.entries.reserve(apps_.size());
   for (size_t i = 0; i < apps_.size(); ++i) {
@@ -518,6 +527,13 @@ ResourceManager::ActuationPlan ResourceManager::PlanForState(
         .mba_percent = state.allocation(i).mba_level.percent(),
         .app_index = static_cast<int32_t>(i),
         .app_id = static_cast<int32_t>(apps_[i].id.value())});
+    // An app re-bound out of band rejoins its group in the same
+    // transaction. (A dead app is reaped next tick; nothing to bind.)
+    if (machine.AppExists(apps_[i].id) &&
+        machine.AppClos(apps_[i].id) != apps_[i].group.clos()) {
+      plan.assignments.push_back(ActuationPlan::Assignment{
+          .group = apps_[i].group, .app = apps_[i].id, .app_index = i});
+    }
   }
   return plan;
 }
@@ -1046,6 +1062,11 @@ void ResourceManager::EnterExploration() {
   best_unfairness_ = 0.0;
   AdoptDecision(start);
   (void)ActuateDecision(start);
+  if (start.converged && phase_ == Phase::kExploration) {
+    // A static policy: nothing to explore. A failed apply above is retried
+    // from idle like any other pending plan.
+    EnterIdle();
+  }
 }
 
 void ResourceManager::TickExploration() {
@@ -1221,6 +1242,18 @@ void ResourceManager::TickIdle() {
     StartAdaptation();
     return;
   }
+  // Allocation drift: a write the substrate rolled back after the fact, or
+  // an out-of-band schemata edit. Re-actuate the current decision (through
+  // the usual retry/backoff/degraded path) rather than run the rest of the
+  // phase on the wrong partitioning.
+  if (AllocationDrifted()) {
+    audit_trigger_ = "idle_drift_repair";
+    PartitionDecision current;
+    current.state = state_;
+    current.app_slot = app_slot_;
+    (void)ActuateDecision(current);
+    return;
+  }
   // Significant IPS drift, e.g. the outer manager squeezed the batch slice
   // or a co-runner changed behaviour.
   for (ManagedApp& app : apps_) {
@@ -1245,6 +1278,25 @@ void ResourceManager::TickIdle() {
       }
     }
   }
+}
+
+bool ResourceManager::AllocationDrifted() const {
+  const bool per_app = policy_->per_app_groups();
+  if (!per_app && slot_groups_.size() < state_.NumApps()) {
+    return true;
+  }
+  const SimulatedMachine& machine = resctrl_->machine();
+  for (size_t i = 0; i < apps_.size(); ++i) {
+    const uint32_t slot = app_slot_[i];
+    const uint32_t clos =
+        per_app ? apps_[i].group.clos() : slot_groups_[slot].clos();
+    if (machine.AppClos(apps_[i].id) != clos ||
+        machine.ClosWayMask(clos).bits() != state_.WayMaskBits(slot) ||
+        machine.ClosMbaLevel(clos) != state_.allocation(slot).mba_level) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void ResourceManager::EnterDegraded() {

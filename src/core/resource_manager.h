@@ -4,9 +4,11 @@
 // (core/partition_policy.h): it owns sampling and counter quarantine,
 // probe scheduling, transactional actuation with retry/backoff/degraded
 // mode, SLO slices, the trend governor, and all telemetry — while the
-// installed PartitionPolicy (ResourceManagerParams::partition_policy) owns
-// classification and the allocation decisions. With the default "copart"
-// policy the loop below is exactly the paper's controller.
+// installed PartitionPolicy (ResourceManagerParams::partition_policy, or an
+// instance handed to the constructor) owns classification and the
+// allocation decisions. With the default "copart" policy the loop below is
+// exactly the paper's controller; every baseline runs through the same
+// loop.
 //
 // The manager runs as a user-level control loop over the resctrl interface
 // and the PMC monitor, in three phases:
@@ -24,7 +26,11 @@
 //   3. *Idle*: no adaptation; the manager watches for consolidation changes
 //      (app launch/termination), resource-pool changes from an outer server
 //      manager, and significant IPS drift — any of which re-trigger
-//      adaptation (§5.4.3).
+//      adaptation (§5.4.3). Each idle tick also reads back every managed
+//      app's CLOS binding, mask and MBA level and re-actuates the current
+//      decision when any of them drifted (a rolled-back write, an
+//      out-of-band schemata edit). A static policy's converged opening
+//      decision lands here directly.
 //
 // Hardening (DESIGN.md §7): the actuation path tolerates a faulty
 // substrate. Every allocation change is applied as a transaction —
@@ -112,8 +118,14 @@ class ResourceManager {
  public:
   using Phase = ManagerPhase;
 
+  // Drives the registry policy named by params.partition_policy.
   ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
                   const ResourceManagerParams& params);
+  // Drives `policy` (e.g. a fixed-state StaticPartitionPolicy, which the
+  // registry cannot build); params.partition_policy is ignored.
+  ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
+                  const ResourceManagerParams& params,
+                  std::unique_ptr<PartitionPolicy> policy);
 
   // Registers an app to manage; creates its resctrl group and (re)starts
   // the adaptation process.
@@ -333,7 +345,8 @@ class ResourceManager {
   void EnterDegraded();
   size_t AppIndex(AppId id) const;
 
-  // Builds the schemata plan realising `state` (one entry per app).
+  // Builds the schemata plan realising `state` (one entry per app), plus a
+  // re-binding for any app that sits outside its own group's CLOS.
   ActuationPlan PlanForState(const SystemState& state) const;
   // Builds the plan realising a policy decision: per-app delegates to
   // PlanForState; clustered decisions get one entry per slot plus the app
@@ -357,6 +370,11 @@ class ResourceManager {
   // Actuate for a policy decision: ensures the cluster groups exist first
   // (for clustered policies), then runs the transactional plan.
   bool ActuateDecision(const PartitionDecision& decision);
+
+  // Idle readback: true when any managed app's CLOS binding, mask or MBA
+  // level differs from state_/app_slot_, or a slot group is missing. Reads
+  // only; allocates nothing.
+  bool AllocationDrifted() const;
 
   // Retries pending_plan_ once its backoff expires. Returns true when the
   // control loop may run this tick (no pending plan stalls it).
@@ -406,7 +424,7 @@ class ResourceManager {
 
   Phase phase_ = Phase::kIdle;
   std::vector<ManagedApp> apps_;
-  // The classification/allocation policy (params.partition_policy).
+  // The classification/allocation policy.
   std::unique_ptr<PartitionPolicy> policy_;
   SystemState state_;
   // Slot each app runs in (identity for per-app policies); parallel to

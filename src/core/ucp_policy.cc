@@ -56,26 +56,4 @@ SystemState ComputeUcpAllocation(const SimulatedMachine& machine,
   return state;
 }
 
-UcpPolicy::UcpPolicy(Resctrl* resctrl, std::vector<AppId> apps,
-                     ResourcePool pool)
-    : resctrl_(resctrl), apps_(std::move(apps)), pool_(pool) {
-  CHECK_NE(resctrl, nullptr);
-}
-
-void UcpPolicy::Start() {
-  state_ = ComputeUcpAllocation(resctrl_->machine(), apps_, pool_);
-  for (size_t i = 0; i < apps_.size(); ++i) {
-    Result<ResctrlGroupId> group = resctrl_->CreateGroup(
-        "ucp_app_" + std::to_string(apps_[i].value()));
-    CHECK(group.ok()) << group.status().ToString();
-    Status status = resctrl_->AssignApp(*group, apps_[i]);
-    CHECK(status.ok()) << status.ToString();
-    status = resctrl_->SetCacheMask(*group, state_.WayMaskBits(i));
-    CHECK(status.ok()) << status.ToString();
-    status = resctrl_->SetMbaPercent(*group,
-                                     state_.allocation(i).mba_level.percent());
-    CHECK(status.ok()) << status.ToString();
-  }
-}
-
 }  // namespace copart

@@ -13,15 +13,16 @@
 // On hardware UCP samples miss curves with shadow-tag UMON monitors; here
 // the per-app miss-ratio curves come from the workload descriptors, i.e.
 // this is an idealized (oracle-curve) UCP, like ST is an oracle search.
+// The harness computes the allocation once from the launched apps and runs
+// it as a fixed-state StaticPartitionPolicy (core/static_policy.h).
 #ifndef COPART_CORE_UCP_POLICY_H_
 #define COPART_CORE_UCP_POLICY_H_
 
 #include <vector>
 
-#include "core/policies.h"
 #include "core/system_state.h"
 #include "machine/app_id.h"
-#include "resctrl/resctrl.h"
+#include "machine/simulated_machine.h"
 
 namespace copart {
 
@@ -32,23 +33,6 @@ namespace copart {
 SystemState ComputeUcpAllocation(const SimulatedMachine& machine,
                                  const std::vector<AppId>& apps,
                                  const ResourcePool& pool);
-
-class UcpPolicy : public ConsolidationPolicy {
- public:
-  UcpPolicy(Resctrl* resctrl, std::vector<AppId> apps, ResourcePool pool);
-
-  std::string name() const override { return "UCP"; }
-  void Start() override;
-  void Tick() override {}
-
-  const SystemState& allocation() const { return state_; }
-
- private:
-  Resctrl* resctrl_;
-  std::vector<AppId> apps_;
-  ResourcePool pool_;
-  SystemState state_;
-};
 
 }  // namespace copart
 

@@ -1,14 +1,34 @@
 #include "harness/experiment.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
-#include "core/dcat_policy.h"
+#include "core/resource_manager.h"
+#include "core/static_policy.h"
 #include "core/ucp_policy.h"
 #include "harness/static_oracle.h"
 #include "metrics/fairness.h"
+#include "pmc/perf_monitor.h"
+#include "resctrl/resctrl.h"
 
 namespace copart {
+namespace {
+
+// A factory for the registry policy `registry_name`, reported as `label`.
+PolicyFactory RegistryFactory(std::string label,
+                              ResourceManagerParams params,
+                              std::string registry_name) {
+  params.partition_policy = std::move(registry_name);
+  return [label = std::move(label), params](const SimulatedMachine&,
+                                            const std::vector<AppId>&,
+                                            const ResourcePool&) {
+    return ExperimentPolicy{
+        label, params, MakePartitionPolicy(params.partition_policy, params)};
+  };
+}
+
+}  // namespace
 
 ExperimentResult RunExperiment(const WorkloadMix& mix,
                                const PolicyFactory& factory,
@@ -31,25 +51,28 @@ ExperimentResult RunExperiment(const WorkloadMix& mix,
     apps.push_back(*app);
   }
 
-  std::unique_ptr<ConsolidationPolicy> policy =
-      factory(&resctrl, &monitor, apps, config.pool);
-  if (auto* copart = dynamic_cast<CoPartPolicy*>(policy.get())) {
-    copart->manager().SetObservability(config.obs);
+  ExperimentPolicy policy = factory(machine, apps, config.pool);
+  ResourceManager manager(&resctrl, &monitor, policy.params,
+                          std::move(policy.policy));
+  manager.SetObservability(config.obs);
+  manager.SetResourcePool(config.pool);
+  ExperimentResult result;
+  for (AppId app : apps) {
+    if (!manager.AddApp(app).ok()) {
+      // Refused (way/CLOS budget, or a failed admission write): the app
+      // keeps running in the default group, unpartitioned.
+      ++result.unmanaged_apps;
+    }
   }
-  if (auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get())) {
-    managed->manager().SetObservability(config.obs);
-  }
-  policy->Start();
 
   const int periods = static_cast<int>(
       std::llround(config.duration_sec / config.control_period_sec));
   for (int period = 0; period < periods; ++period) {
     machine.AdvanceTime(config.control_period_sec);
-    policy->Tick();
+    manager.Tick();
   }
 
-  ExperimentResult result;
-  result.policy_name = policy->name();
+  result.policy_name = policy.name;
   result.mix_name = mix.name;
   const double elapsed = machine.now();
   for (size_t i = 0; i < apps.size(); ++i) {
@@ -63,94 +86,58 @@ ExperimentResult RunExperiment(const WorkloadMix& mix,
   }
   result.unfairness = Unfairness(result.slowdowns);
   result.throughput_geomean = GeoMeanThroughput(result.avg_ips);
-  if (auto* copart = dynamic_cast<CoPartPolicy*>(policy.get())) {
-    result.avg_exploration_us =
-        copart->manager().exploration_time_stats().mean();
-    copart->manager().ExportMetrics(ObsMetrics(config.obs));
-  }
-  if (auto* managed = dynamic_cast<ManagedPartitionPolicy*>(policy.get())) {
-    result.avg_exploration_us =
-        managed->manager().exploration_time_stats().mean();
-    result.unmanaged_apps = managed->unmanaged_apps();
-    managed->manager().ExportMetrics(ObsMetrics(config.obs));
-  }
+  result.avg_exploration_us = manager.exploration_time_stats().mean();
+  manager.ExportMetrics(ObsMetrics(config.obs));
   return result;
 }
 
-PolicyFactory EqFactory() {
-  return [](Resctrl* resctrl, PerfMonitor*, std::vector<AppId> apps,
-            const ResourcePool& pool) {
-    return MakeEqualPolicy(resctrl, std::move(apps), pool);
-  };
-}
+PolicyFactory EqFactory() { return RegistryFactory("EQ", {}, "eq"); }
 
 PolicyFactory NoPartFactory() {
-  return [](Resctrl* resctrl, PerfMonitor*, std::vector<AppId> apps,
-            const ResourcePool&) {
-    return std::make_unique<NoPartitionPolicy>(resctrl, std::move(apps));
-  };
+  return RegistryFactory("NoPart", {}, "nopart");
 }
 
 PolicyFactory CoPartFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<CoPartPolicy>(resctrl, monitor, std::move(apps),
-                                          pool, params,
-                                          CoPartPolicy::Mode::kCoordinated);
-  };
+  return RegistryFactory("CoPart", std::move(params), "copart");
 }
 
 PolicyFactory CatOnlyFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<CoPartPolicy>(resctrl, monitor, std::move(apps),
-                                          pool, params,
-                                          CoPartPolicy::Mode::kCatOnly);
-  };
+  return RegistryFactory("CAT-only", std::move(params), "cat-only");
 }
 
 PolicyFactory MbaOnlyFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<CoPartPolicy>(resctrl, monitor, std::move(apps),
-                                          pool, params,
-                                          CoPartPolicy::Mode::kMbaOnly);
-  };
+  return RegistryFactory("MBA-only", std::move(params), "mba-only");
 }
 
 PolicyFactory StaticOracleFactory() {
-  return [](Resctrl* resctrl, PerfMonitor*, std::vector<AppId> apps,
+  return [](const SimulatedMachine& machine, const std::vector<AppId>& apps,
             const ResourcePool& pool) {
     // Serial: the factory can run inside a parallel replication fan-out,
     // where a nested parallel region is rejected.
     StaticOracleResult oracle = FindStaticOracleState(
-        resctrl->machine(), apps, pool, ParallelConfig{.num_threads = 1});
-    return MakeStaticOraclePolicy(resctrl, std::move(apps),
-                                  std::move(oracle.best_state));
+        machine, apps, pool, ParallelConfig{.num_threads = 1});
+    return ExperimentPolicy{"ST", {},
+                            std::make_unique<StaticPartitionPolicy>(
+                                "st", std::move(oracle.best_state))};
   };
 }
 
 PolicyFactory UcpFactory() {
-  return [](Resctrl* resctrl, PerfMonitor*, std::vector<AppId> apps,
+  return [](const SimulatedMachine& machine, const std::vector<AppId>& apps,
             const ResourcePool& pool) {
-    return std::make_unique<UcpPolicy>(resctrl, std::move(apps), pool);
+    return ExperimentPolicy{"UCP", {},
+                            std::make_unique<StaticPartitionPolicy>(
+                                "ucp", ComputeUcpAllocation(machine, apps,
+                                                            pool))};
   };
 }
 
-PolicyFactory DcatFactory() {
-  return [](Resctrl* resctrl, PerfMonitor* monitor, std::vector<AppId> apps,
-            const ResourcePool& pool) {
-    return std::make_unique<DcatPolicy>(resctrl, monitor, std::move(apps),
-                                        pool);
-  };
-}
+PolicyFactory DcatFactory() { return RegistryFactory("dCat", {}, "dcat"); }
 
 PolicyFactory PartitionPolicyFactory(ResourceManagerParams params) {
-  return [params](Resctrl* resctrl, PerfMonitor* monitor,
-                  std::vector<AppId> apps, const ResourcePool& pool) {
-    return std::make_unique<ManagedPartitionPolicy>(
-        resctrl, monitor, std::move(apps), pool, params);
-  };
+  std::string name =
+      params.partition_policy.empty() ? "copart" : params.partition_policy;
+  return RegistryFactory(name, std::move(params), name);
 }
 
 std::vector<std::pair<std::string, PolicyFactory>> StandardPolicies() {

@@ -16,12 +16,14 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "core/policies.h"
-#include "obs/obs.h"
+#include "core/copart_params.h"
+#include "core/partition_policy.h"
 #include "core/system_state.h"
 #include "harness/mix.h"
+#include "machine/app_id.h"
 #include "machine/machine_config.h"
 #include "machine/simulated_machine.h"
+#include "obs/obs.h"
 
 namespace copart {
 
@@ -36,17 +38,25 @@ struct ExperimentConfig {
   // matrix and the figure benches). A single experiment's control loop is
   // inherently sequential and ignores this.
   ParallelConfig parallel;
-  // Optional observability bundle (DESIGN.md §8): attached to the CoPart
-  // family's resource manager (other policies have no control loop to
-  // trace); manager metrics are exported into it when the run ends. Not
+  // Optional observability bundle (DESIGN.md §8): attached to the resource
+  // manager that drives the policy — every policy, baselines included —
+  // and the manager's metrics are exported into it when the run ends. Not
   // owned; null = observability off.
   Observability* obs = nullptr;
 };
 
-// Creates the policy once machine/apps exist. Receives the resctrl and
-// monitor instances that will drive the run.
-using PolicyFactory = std::function<std::unique_ptr<ConsolidationPolicy>(
-    Resctrl* resctrl, PerfMonitor* monitor, std::vector<AppId> apps,
+// What a PolicyFactory hands RunExperiment: the label the result reports,
+// the driver's parameters, and the policy the driver runs.
+struct ExperimentPolicy {
+  std::string name;
+  ResourceManagerParams params;
+  std::unique_ptr<PartitionPolicy> policy;
+};
+
+// Creates the policy once the apps are launched (ST and UCP derive their
+// state from the machine and the apps).
+using PolicyFactory = std::function<ExperimentPolicy(
+    const SimulatedMachine& machine, const std::vector<AppId>& apps,
     const ResourcePool& pool)>;
 
 struct ExperimentResult {
@@ -60,13 +70,15 @@ struct ExperimentResult {
   double throughput_geomean = 0.0;
   // Mean getNextSystemState wall time (0 for static policies) — Fig. 16.
   double avg_exploration_us = 0.0;
-  // Apps the policy declined to manage (ManagedPartitionPolicy only): they
-  // ran in the default group. Per-app CoPart hits this past its way/CLOS
-  // budget; clustered policies keep it at zero.
+  // Apps the manager refused to admit: they ran unpartitioned in the
+  // default group. Per-app policies hit this past their way/CLOS budget or
+  // when admission's resctrl writes fail; clustered policies admit every
+  // app unless the binding write fails.
   size_t unmanaged_apps = 0;
 };
 
-// Runs `mix` under the policy produced by `factory`.
+// Runs `mix` under the policy produced by `factory`, driven by one
+// ResourceManager over the whole-run pool.
 ExperimentResult RunExperiment(const WorkloadMix& mix,
                                const PolicyFactory& factory,
                                const ExperimentConfig& config);
@@ -77,8 +89,8 @@ PolicyFactory NoPartFactory();
 PolicyFactory CoPartFactory(ResourceManagerParams params = {});
 PolicyFactory CatOnlyFactory(ResourceManagerParams params = {});
 PolicyFactory MbaOnlyFactory(ResourceManagerParams params = {});
-// ST: runs the offline search (harness/static_oracle.h) at Start() time
-// against a noise-free clone of the machine.
+// ST: runs the offline search (harness/static_oracle.h) once the apps are
+// launched, against a noise-free clone of the machine.
 PolicyFactory StaticOracleFactory();
 // UCP: the miss-minimizing utility-based partitioner (core/ucp_policy.h) —
 // an extension baseline beyond the paper's four.
@@ -87,11 +99,11 @@ PolicyFactory UcpFactory();
 // (core/dcat_policy.h), distilled from the paper's closest related work.
 PolicyFactory DcatFactory();
 
-// A ResourceManager driven by the named partition policy in
-// params.partition_policy ("copart", "lfoc", "lfoc+", "cbp" — see
-// core/partition_policy.h). Admission failures leave apps unmanaged in the
-// default group (ExperimentResult::unmanaged_apps) instead of aborting, so
-// per-app CoPart can be A/B'd on scenarios past its CLOS budget.
+// The registry policy named by params.partition_policy (see
+// core/partition_policy.h), reported under that name. Like every factory,
+// admission failures leave apps unmanaged in the default group
+// (ExperimentResult::unmanaged_apps) instead of aborting, so per-app CoPart
+// can be A/B'd on scenarios past its CLOS budget.
 PolicyFactory PartitionPolicyFactory(ResourceManagerParams params);
 
 // The paper's five policies in Fig. 12 order: EQ, ST, CAT-only, MBA-only,

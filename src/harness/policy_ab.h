@@ -1,7 +1,7 @@
 // Partition-policy A/B harness (DESIGN.md §14).
 //
-// Runs every registered partition policy (core/partition_policy.h:
-// per-app CoPart plus the clustered LFOC / LFOC+ / CBP rivals) over the
+// Runs per-app CoPart and the clustered LFOC / LFOC+ / CBP rivals
+// (core/partition_policy.h) — or any other registered policies — over the
 // same scenarios and reports the three headline metrics side by side:
 // unfairness (Eq. 2), throughput (geomean IPS), and the SLO-violation
 // rate (fraction of apps slowed beyond a threshold). Scenarios are the
@@ -38,7 +38,8 @@ struct PolicyAbScenario {
 };
 
 struct PolicyAbConfig {
-  // Registry names to compare; defaults to every registered policy.
+  // Registry names to compare; defaults to CoPart and its three rivals
+  // (the baselines are registered too, but the A/B leaves them out).
   std::vector<std::string> policies{"copart", "lfoc", "lfoc+", "cbp"};
   // The paper's seven mix families at `paper_mix_app_count` apps each.
   bool include_paper_mixes = true;

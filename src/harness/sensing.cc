@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "core/policies.h"
+#include "core/resource_manager.h"
 #include "harness/csv_writer.h"
 #include "machine/simulated_machine.h"
 #include "metrics/fairness.h"
@@ -45,9 +45,12 @@ SensingCellResult RunCell(const SensingConfig& config, SensingMode mode,
     apps.push_back(*app);
   }
 
-  CoPartPolicy policy(&resctrl, &monitor, apps, config.pool, config.manager,
-                      CoPartPolicy::Mode::kCoordinated);
-  policy.Start();
+  ResourceManager manager(&resctrl, &monitor, config.manager);
+  manager.SetResourcePool(config.pool);
+  for (AppId app : apps) {
+    Status status = manager.AddApp(app);
+    CHECK(status.ok()) << status.ToString();
+  }
 
   SensingCellResult cell;
   cell.mode = mode;
@@ -56,19 +59,19 @@ SensingCellResult RunCell(const SensingConfig& config, SensingMode mode,
   cell.phases.reserve(periods);
   for (int period = 0; period < periods; ++period) {
     machine.AdvanceTime(config.control_period_sec);
-    policy.Tick();
+    manager.Tick();
     std::vector<ResourceClass> llc(apps.size());
     std::vector<ResourceClass> mba(apps.size());
     for (size_t i = 0; i < apps.size(); ++i) {
-      llc[i] = policy.manager().LlcClass(apps[i]);
-      mba[i] = policy.manager().MbaClass(apps[i]);
+      llc[i] = manager.LlcClass(apps[i]);
+      mba[i] = manager.MbaClass(apps[i]);
     }
     cell.llc_classes.push_back(std::move(llc));
     cell.mba_classes.push_back(std::move(mba));
-    cell.phases.push_back(policy.manager().phase());
+    cell.phases.push_back(manager.phase());
   }
 
-  cell.adaptations_started = policy.manager().adaptations_started();
+  cell.adaptations_started = manager.adaptations_started();
   cell.sensed_samples = monitor.sensed_samples();
   cell.estimator_fallbacks = monitor.estimator_fallbacks();
   cell.stale_reports = monitor.stale_reports();

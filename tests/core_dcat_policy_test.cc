@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/resource_manager.h"
 #include "harness/experiment.h"
 #include "harness/mix.h"
 
@@ -12,7 +13,28 @@ namespace {
 class DcatTest : public ::testing::Test {
  protected:
   DcatTest() : machine_(MakeConfig()), resctrl_(&machine_),
-               monitor_(&machine_) {}
+               monitor_(&machine_), manager_(&resctrl_, &monitor_, Params()) {
+    manager_.SetResourcePool(FullPool());
+  }
+
+  static ResourceManagerParams Params() {
+    ResourceManagerParams params;
+    params.partition_policy = "dcat";
+    return params;
+  }
+
+  void Admit(const std::vector<WorkloadDescriptor>& descriptors) {
+    for (const WorkloadDescriptor& descriptor : descriptors) {
+      Result<AppId> app = machine_.LaunchApp(descriptor, 4);
+      ASSERT_TRUE(app.ok());
+      ASSERT_TRUE(manager_.AddApp(*app).ok());
+    }
+  }
+
+  void Tick() {
+    machine_.AdvanceTime(0.5);
+    manager_.Tick();
+  }
 
   static MachineConfig MakeConfig() {
     MachineConfig config;
@@ -28,38 +50,29 @@ class DcatTest : public ::testing::Test {
   SimulatedMachine machine_;
   Resctrl resctrl_;
   PerfMonitor monitor_;
+  ResourceManager manager_;
 };
 
 TEST_F(DcatTest, StartsFromEqualSplitWithFrozenMba) {
-  std::vector<AppId> apps;
-  for (const WorkloadDescriptor& descriptor :
-       {WaterNsquared(), Cg(), Swaptions(), Ep()}) {
-    apps.push_back(*machine_.LaunchApp(descriptor, 4));
-  }
-  DcatPolicy policy(&resctrl_, &monitor_, apps, FullPool());
-  EXPECT_EQ(policy.name(), "dCat");
-  policy.Start();
-  const SystemState& state = policy.current_state();
+  EXPECT_EQ(manager_.partition_policy().name(), "dcat");
+  Admit({WaterNsquared(), Cg(), Swaptions(), Ep()});
+  EXPECT_EQ(manager_.phase(), ResourceManager::Phase::kExploration);
+  const SystemState& state = manager_.current_state();
   EXPECT_EQ(state.allocation(0).llc_ways, 3u);
   EXPECT_EQ(state.allocation(3).llc_ways, 2u);
-  for (size_t i = 0; i < apps.size(); ++i) {
+  for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(state.allocation(i).mba_level.percent(), 30u);
   }
 }
 
 TEST_F(DcatTest, GrowsTheCacheHungryAppOverTime) {
-  std::vector<AppId> apps;
-  for (const WorkloadDescriptor& descriptor :
-       {WaterNsquared(), Swaptions()}) {
-    apps.push_back(*machine_.LaunchApp(descriptor, 4));
-  }
-  DcatPolicy policy(&resctrl_, &monitor_, apps, FullPool());
-  policy.Start();
+  Admit({WaterNsquared(), Swaptions()});
   for (int i = 0; i < 100; ++i) {
-    machine_.AdvanceTime(0.5);
-    policy.Tick();
+    Tick();
   }
-  const SystemState& state = policy.current_state();
+  // The feedback loop never converges.
+  EXPECT_EQ(manager_.phase(), ResourceManager::Phase::kExploration);
+  const SystemState& state = manager_.current_state();
   EXPECT_TRUE(state.Valid());
   // WN (needs 4 ways) ends with more cache than the insensitive app.
   EXPECT_GT(state.allocation(0).llc_ways, state.allocation(1).llc_ways);
@@ -69,23 +82,46 @@ TEST_F(DcatTest, GrowsTheCacheHungryAppOverTime) {
 }
 
 TEST_F(DcatTest, StateStaysValidUnderLongRuns) {
-  std::vector<AppId> apps;
-  for (const WorkloadDescriptor& descriptor :
-       {Sp(), OceanNcp(), Fmm(), Swaptions()}) {
-    apps.push_back(*machine_.LaunchApp(descriptor, 4));
-  }
-  DcatPolicy policy(&resctrl_, &monitor_, apps, FullPool());
-  policy.Start();
+  Admit({Sp(), OceanNcp(), Fmm(), Swaptions()});
   for (int i = 0; i < 300; ++i) {
-    machine_.AdvanceTime(0.5);
-    policy.Tick();
-    ASSERT_TRUE(policy.current_state().Valid());
+    Tick();
+    const SystemState& state = manager_.current_state();
+    ASSERT_TRUE(state.Valid());
     uint32_t total = 0;
-    for (size_t a = 0; a < apps.size(); ++a) {
-      total += policy.current_state().allocation(a).llc_ways;
-      ASSERT_GE(policy.current_state().allocation(a).llc_ways, 1u);
+    for (size_t a = 0; a < 4; ++a) {
+      total += state.allocation(a).llc_ways;
+      ASSERT_GE(state.allocation(a).llc_ways, 1u);
     }
     ASSERT_EQ(total, 11u);
+  }
+}
+
+TEST(DcatSignalTest, UnhealthySamplesLeaveTheEstimatesAlone) {
+  // Every period the noisy policy also classifies a batch of garbage
+  // samples flagged unhealthy; its allocations must match those of a
+  // policy that never saw them.
+  const ResourcePool pool{.first_way = 0, .num_ways = 11,
+                          .max_mba_percent = 100};
+  std::vector<PolicySignals> good(2), bad(2);
+  good[0] = {.healthy = true, .ips = 2.0e9};
+  good[1] = {.healthy = true, .ips = 1.0e9};
+  bad[0] = {.healthy = false, .ips = 9.0e9};
+  bad[1] = {.healthy = false, .ips = 1.0};
+  Rng rng(1);
+  DcatPolicy clean, noisy;
+  for (DcatPolicy* policy : {&clean, &noisy}) {
+    policy->OnAppAdded();
+    policy->OnAppAdded();
+  }
+  SystemState clean_state = clean.StartExploration(pool, 2).state;
+  SystemState noisy_state = noisy.StartExploration(pool, 2).state;
+  for (int period = 0; period < 8; ++period) {
+    clean.Classify(good);
+    noisy.Classify(good);
+    noisy.Classify(bad);
+    clean_state = clean.Allocate(clean_state, good, rng).state;
+    noisy_state = noisy.Allocate(noisy_state, good, rng).state;
+    ASSERT_TRUE(clean_state == noisy_state) << "period " << period;
   }
 }
 

@@ -1,5 +1,6 @@
-// Chaos suite for the clustered rival policies (LFOC / LFOC+ / CBP): 100
-// seeded fault schedules per policy, each driving a managed consolidation —
+// Chaos suite for the rival policies (LFOC / LFOC+ / CBP) and the former
+// baselines (EQ, NoPart, dCat, CAT-only, MBA-only): 100 seeded fault
+// schedules per policy, each driving a managed consolidation —
 // one SLO-governed latency-critical app plus a churning batch population —
 // through a warmup / resctrl-fault-storm / recovery arc. Asserted every
 // control period:
@@ -289,12 +290,16 @@ TEST_P(PolicyChaosTest, HundredSchedulesHoldInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     RivalPolicies, PolicyChaosTest,
     ::testing::Values(std::string("lfoc"), std::string("lfoc+"),
-                      std::string("cbp")),
+                      std::string("cbp"), std::string("eq"),
+                      std::string("nopart"), std::string("dcat"),
+                      std::string("cat-only"), std::string("mba-only")),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
         if (c == '+') {
           c = 'P';
+        } else if (c == '-') {
+          c = '_';
         }
       }
       return name;

@@ -12,9 +12,13 @@
 //     thread count (the common/parallel.h determinism contract).
 //
 // Parameterized over RegisteredPartitionPolicyNames() so a newly registered
-// policy is conformance-checked by construction.
+// policy is conformance-checked by construction; the fixed-state static
+// shape (ST, UCP), which only the harness can build, runs as an injected
+// instance.
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "common/parallel.h"
 #include "core/partition_policy.h"
 #include "core/resource_manager.h"
+#include "core/static_policy.h"
 #include "harness/mix.h"
 #include "harness/policy_ab.h"
 #include "pmc/perf_monitor.h"
@@ -47,8 +52,12 @@ struct DriveResult {
   std::vector<uint32_t> final_clos;  // Actuated CLOS per app, final period.
 };
 
+// Builds the policy instance a drive injects; null = the registry policy
+// named by ResourceManagerParams::partition_policy.
+using PolicyMaker = std::function<std::unique_ptr<PartitionPolicy>()>;
+
 class PolicyConformanceTest : public ::testing::TestWithParam<std::string> {
- protected:
+ public:
   static constexpr int kPeriods = 120;
   static constexpr double kPeriodSec = 0.5;
 
@@ -62,7 +71,8 @@ class PolicyConformanceTest : public ::testing::TestWithParam<std::string> {
   // Drives one consolidation (the H-Both paper mix at 6 apps) under the
   // policy and asserts the per-period invariants; returns the endpoint for
   // determinism comparison.
-  DriveResult Drive(const std::string& policy) {
+  static DriveResult Drive(const std::string& policy,
+                           const PolicyMaker& make = nullptr) {
     MachineConfig machine_config;
     machine_config.num_cores = 16;
     machine_config.seed = 0x5EED0001ULL;
@@ -70,7 +80,11 @@ class PolicyConformanceTest : public ::testing::TestWithParam<std::string> {
     Resctrl resctrl(&machine);
     PerfMonitor monitor(&machine);
     const ResourceManagerParams params = MakeParams(policy);
-    ResourceManager manager(&resctrl, &monitor, params);
+    ResourceManager manager(
+        &resctrl, &monitor, params,
+        make ? make() : MakePartitionPolicy(params.partition_policy, params));
+    // The registry builds the policy it names.
+    EXPECT_EQ(manager.partition_policy().name(), policy);
 
     const WorkloadMix mix = MakeMix(MixFamily::kHighBoth, 6);
     std::vector<AppId> apps;
@@ -156,12 +170,39 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
+        // Test names must be identifiers: "lfoc+" -> "lfocP",
+        // "cat-only" -> "cat_only".
         if (c == '+') {
-          c = 'P';  // "lfoc+" -> "lfocP": test names must be identifiers.
+          c = 'P';
+        } else if (c == '-') {
+          c = '_';
         }
       }
       return name;
     });
+
+// The ST/UCP shape: a fixed per-app state for the whole set, equal shares
+// while the set is still being admitted.
+TEST(FixedStatePolicyConformanceTest, InjectedStaticStateConforms) {
+  const PolicyMaker make = [] {
+    const uint32_t ways[] = {3, 2, 2, 2, 1, 1};
+    const uint32_t mba[] = {100, 60, 80, 40, 100, 20};
+    std::vector<AppAllocation> allocations(6);
+    for (size_t i = 0; i < 6; ++i) {
+      allocations[i] = {.llc_ways = ways[i],
+                        .mba_level = MbaLevel::FromPercentChecked(mba[i])};
+    }
+    return std::make_unique<StaticPartitionPolicy>(
+        "st", SystemState(ResourcePool{}, std::move(allocations)));
+  };
+  const DriveResult a = PolicyConformanceTest::Drive("st", make);
+  const DriveResult b = PolicyConformanceTest::Drive("st", make);
+  EXPECT_EQ(a.final_state.allocation(0).llc_ways, 3u);
+  EXPECT_EQ(a.final_state.allocation(5).mba_level.percent(), 20u);
+  EXPECT_TRUE(a.final_state == b.final_state);
+  EXPECT_EQ(a.final_slots, b.final_slots);
+  EXPECT_EQ(a.final_clos, b.final_clos);
+}
 
 // The harness built on the policies inherits their determinism: the
 // serialized A/B document is bit-identical for every thread count.
@@ -177,8 +218,8 @@ TEST(PolicyAbDeterminismTest, JsonIsThreadCountInvariant) {
   const std::string threaded = PolicyAbToJson(RunPolicyAb(config));
   EXPECT_EQ(serial, threaded);
 
-  // And the reduced document still covers every registered policy.
-  for (const std::string& policy : RegisteredPartitionPolicyNames()) {
+  // And the reduced document still covers every policy the A/B compares.
+  for (const std::string& policy : PolicyAbConfig{}.policies) {
     EXPECT_NE(serial.find("\"policy\": \"" + policy + "\""),
               std::string::npos)
         << policy;

@@ -1,8 +1,12 @@
 // The UCP extension baseline: marginal-utility way allocation.
 #include "core/ucp_policy.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
+#include "core/resource_manager.h"
+#include "core/static_policy.h"
 #include "harness/experiment.h"
 #include "harness/mix.h"
 #include "workload/workload.h"
@@ -83,13 +87,19 @@ TEST_F(UcpTest, RespectsPoolBounds) {
 TEST(UcpPolicyTest, AppliesThroughResctrl) {
   SimulatedMachine machine(QuietConfig());
   Resctrl resctrl(&machine);
+  PerfMonitor monitor(&machine);
   Result<AppId> wn = machine.LaunchApp(WaterNsquared(), 4);
   Result<AppId> sw = machine.LaunchApp(Swaptions(), 4);
   ASSERT_TRUE(wn.ok());
   ASSERT_TRUE(sw.ok());
-  UcpPolicy policy(&resctrl, {*wn, *sw}, FullPool());
-  EXPECT_EQ(policy.name(), "UCP");
-  policy.Start();
+  ResourceManager manager(
+      &resctrl, &monitor, {},
+      std::make_unique<StaticPartitionPolicy>(
+          "ucp", ComputeUcpAllocation(machine, {*wn, *sw}, FullPool())));
+  manager.SetResourcePool(FullPool());
+  ASSERT_TRUE(manager.AddApp(*wn).ok());
+  ASSERT_TRUE(manager.AddApp(*sw).ok());
+  EXPECT_EQ(manager.phase(), ResourceManager::Phase::kIdle);
   EXPECT_NE(machine.AppClos(*wn), 0u);
   EXPECT_EQ(machine.ClosWayMask(machine.AppClos(*sw)).CountWays(), 1u);
   EXPECT_FALSE(machine.ClosWayMask(machine.AppClos(*wn))

@@ -1,9 +1,14 @@
 // The experiment runner: metrics plumbing, policy factories, determinism.
 #include "harness/experiment.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
 #include "harness/mix.h"
+#include "obs/obs.h"
+#include "resctrl/resctrl.h"
 
 namespace copart {
 namespace {
@@ -73,6 +78,60 @@ TEST(ExperimentTest, CoPartReportsExplorationOverhead) {
   const ExperimentResult result =
       RunExperiment(MakeMix(MixFamily::kHighLlc, 4), CoPartFactory(), {});
   EXPECT_GT(result.avg_exploration_us, 0.0);
+}
+
+TEST(ExperimentTest, BaselinesSurviveAResctrlFaultStorm) {
+  // One in five schemata writes and app bindings fails. Every baseline runs
+  // through the manager's transactional actuation, so a failed admission
+  // leaves the app unmanaged and a failed write is retried — none aborts.
+  const WorkloadMix mix = MakeMix(MixFamily::kHighBoth, 4);
+  const std::pair<std::string, PolicyFactory> baselines[] = {
+      {"EQ", EqFactory()},         {"ST", StaticOracleFactory()},
+      {"NoPart", NoPartFactory()}, {"UCP", UcpFactory()},
+      {"dCat", DcatFactory()},     {"CAT-only", CatOnlyFactory()},
+      {"MBA-only", MbaOnlyFactory()}};
+  for (const auto& [name, factory] : baselines) {
+    FaultInjector injector(7);
+    FaultSpec storm;
+    storm.probability = 0.2;
+    injector.Arm(fault_points::kResctrlSetL3, storm);
+    injector.Arm(fault_points::kResctrlAssignApp, storm);
+    ExperimentConfig config;
+    config.machine.fault_injector = &injector;
+    config.duration_sec = 10.0;
+    const ExperimentResult result = RunExperiment(mix, factory, config);
+    EXPECT_EQ(result.policy_name, name);
+    ASSERT_EQ(result.avg_ips.size(), 4u) << name;
+    for (double ips : result.avg_ips) {
+      EXPECT_GT(ips, 0.0) << name;
+    }
+    EXPECT_TRUE(std::isfinite(result.unfairness)) << name;
+    EXPECT_GT(injector.total_failures(), 0u) << name;
+  }
+}
+
+TEST(ExperimentTest, ObservabilityCoversTheBaselines) {
+  // The baselines run through the same driver as CoPart, so the audit log
+  // records their allocations and the manager exports its metrics.
+  const WorkloadMix mix = MakeMix(MixFamily::kHighLlc, 4);
+  for (const PolicyFactory& factory : {EqFactory(), DcatFactory()}) {
+    Observability obs;
+    ExperimentConfig config;
+    config.duration_sec = 5.0;
+    config.obs = &obs;
+    const ExperimentResult result = RunExperiment(mix, factory, config);
+    size_t allocations = 0;
+    for (const AuditRecord& record : obs.audit.records()) {
+      if (record.kind == AuditKind::kAllocation) {
+        ++allocations;
+        // Baselines classify nobody; the audit says so.
+        EXPECT_STREQ(record.llc_class, "Maintain") << result.policy_name;
+      }
+    }
+    EXPECT_GE(allocations, 4u) << result.policy_name;
+    EXPECT_EQ(obs.metrics.GetCounter("copart.manager.ticks")->value(), 10u)
+        << result.policy_name;
+  }
 }
 
 TEST(ExperimentTest, NoPartBaselineRuns) {

@@ -86,7 +86,8 @@ int Usage() {
       "  trace <mix|casestudy|serve|cluster> [app_count] [duration_sec] "
       "[--out prefix]\n"
       "mixes: H-LLC H-BW H-Both M-LLC M-BW M-Both IS\n"
-      "policies: EQ ST CAT-only MBA-only CoPart UCP NoPart\n"
+      "policies: EQ ST CAT-only MBA-only CoPart UCP NoPart dCat\n"
+      "          copart cat-only mba-only lfoc lfoc+ cbp eq nopart dcat\n"
       "--threads N: fan sweeps (characterize, oracle) out over N worker\n"
       "             threads; default = hardware concurrency. Results are\n"
       "             identical for every thread count.\n");
@@ -117,6 +118,8 @@ Result<MixFamily> FindMix(const std::string& name) {
   return NotFoundError("unknown mix: " + name);
 }
 
+// Resolves a paper name (EQ, ST, CAT-only, ...) or a registry name
+// (copart, lfoc+, eq, ...; core/partition_policy.h).
 Result<PolicyFactory> FindPolicy(const std::string& name) {
   for (auto& [policy_name, factory] : StandardPolicies()) {
     if (name == policy_name) {
@@ -128,6 +131,16 @@ Result<PolicyFactory> FindPolicy(const std::string& name) {
   }
   if (name == "NoPart") {
     return NoPartFactory();
+  }
+  if (name == "dCat") {
+    return DcatFactory();
+  }
+  for (const std::string& registered : RegisteredPartitionPolicyNames()) {
+    if (name == registered) {
+      ResourceManagerParams params;
+      params.partition_policy = name;
+      return PartitionPolicyFactory(params);
+    }
   }
   return NotFoundError("unknown policy: " + name);
 }
