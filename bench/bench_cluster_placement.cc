@@ -1,18 +1,24 @@
-// Extension study: placement policy x per-node partitioning on a two-node
-// fleet. A skewed arrival stream (big insensitive jobs first, then small
-// cache-hungry ones) is submitted under each placement policy, with the
-// nodes either unmanaged (everything shares the LLC) or running CoPart.
+// Extension study: placement policy x per-node partitioning on a two-node,
+// fault-free fleet. A skewed arrival stream (big insensitive jobs first,
+// then small cache-hungry ones) is submitted under each placement policy
+// (FleetParams::placement), with the nodes either unpartitioned (the
+// "nopart" policy: everything shares the LLC) or running CoPart. Migration
+// and overload shedding are off, so every job stays where it was placed.
 //
-// Expected shape: on unmanaged nodes placement is all that stands between
-// the fleet and heavy contention, so cache-aware (what-if) placement beats
-// first-fit clearly; per-node CoPart then absorbs most of the remaining
-// damage, shrinking the gap between placement policies — the controller
-// makes the fleet robust to placement mistakes.
+// Expected shape: on unpartitioned nodes placement is all that stands
+// between the fleet and heavy contention, so cache-aware (what-if)
+// placement beats first-fit on both mean and worst slowdown. Per-node
+// CoPart then absorbs most of the damage under every placement policy,
+// but it does not make placement irrelevant: first-fit still stacks the
+// cache-hungry jobs on one node, and what-if placement still beats it on
+// both mean and worst slowdown.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
-#include "cluster/cluster.h"
+#include "cluster/fleet.h"
+#include "common/logging.h"
 #include "common/stats.h"
 #include "harness/table_printer.h"
 
@@ -25,7 +31,7 @@ struct FleetOutcome {
   double mean_node_unfairness = 0.0;
 };
 
-FleetOutcome RunFleet(PlacementPolicy policy, bool manage,
+FleetOutcome RunFleet(PlacementPolicy placement, bool partition,
                       const ParallelConfig& parallel) {
   // Big insensitive jobs first so core-count balancing and cache-pressure
   // balancing disagree.
@@ -34,21 +40,29 @@ FleetOutcome RunFleet(PlacementPolicy policy, bool manage,
       {Sp(), 2},        {Ep(), 8},            {Raytrace(), 2},
       {OceanNcp(), 2},  {Fmm(), 2},           {Ft(), 2},
       {Ep(), 2}};
-  Cluster cluster;
-  cluster.set_parallel(parallel);
-  cluster.AddNode("n0", {}, {}, manage);
-  cluster.AddNode("n1", {}, {}, manage);
+  FleetParams params;
+  params.placement = placement;
+  params.parallel = parallel;
+  if (!partition) {
+    params.manager.partition_policy = "nopart";
+  }
+  params.max_migrations_per_epoch = 0;
+  params.shed_unfairness_threshold = std::numeric_limits<double>::infinity();
+  FleetController fleet(2, params);
   for (const auto& [workload, cores] : arrivals) {
-    CHECK(cluster.Submit(workload, cores, policy).ok());
+    FleetJobSpec spec;
+    spec.workload = workload;
+    spec.cores = cores;
+    CHECK(fleet.Submit(spec).ok());
   }
   for (int i = 0; i < 200; ++i) {
-    cluster.Tick(0.5);
+    fleet.RunEpoch();
   }
-  const std::vector<double> slowdowns = cluster.AllSlowdowns();
+  const std::vector<double> slowdowns = fleet.AllSlowdowns();
   return FleetOutcome{
       Mean(slowdowns),
       *std::max_element(slowdowns.begin(), slowdowns.end()),
-      cluster.MeanNodeUnfairness()};
+      fleet.MeanNodeUnfairness()};
 }
 
 }  // namespace
@@ -60,15 +74,16 @@ int main(int argc, char** argv) {
   std::printf(
       "== Extension: placement policy x per-node partitioning "
       "(2 nodes) ==\n\n");
-  for (bool manage : {false, true}) {
+  for (bool partition : {false, true}) {
     std::printf("-- nodes %s --\n",
-                manage ? "running CoPart" : "unmanaged (shared LLC)");
+                partition ? "running CoPart"
+                          : "running \"nopart\" (shared LLC)");
     std::vector<std::vector<std::string>> rows;
-    for (PlacementPolicy policy :
+    for (PlacementPolicy placement :
          {PlacementPolicy::kFirstFit, PlacementPolicy::kLeastLoaded,
           PlacementPolicy::kWhatIfBest}) {
-      const FleetOutcome outcome = RunFleet(policy, manage, parallel);
-      rows.push_back({PlacementPolicyName(policy),
+      const FleetOutcome outcome = RunFleet(placement, partition, parallel);
+      rows.push_back({PlacementPolicyName(placement),
                       FormatFixed(outcome.mean_slowdown, 3),
                       FormatFixed(outcome.worst_slowdown, 3),
                       FormatFixed(outcome.mean_node_unfairness, 4)});

@@ -1,32 +1,17 @@
-// Multi-node consolidation: a small cluster of simulated servers, each
-// running its own CoPart instance, with placement policies for incoming
-// jobs.
+// One server of the fleet (cluster/fleet.h): a SimulatedMachine with its
+// own Resctrl, PerfMonitor and ResourceManager.
 //
-// The paper's setting is a single consolidated server; datacenters run
-// fleets of them, and the operator's first decision — *which node gets the
-// job* — determines how much unfairness each node's CoPart has to fix.
-// This module composes the library into that workflow:
-//
-//   ClusterNode  = SimulatedMachine + Resctrl + PerfMonitor +
-//                  ResourceManager, ticked together.
-//   Cluster      = nodes + a placement policy:
-//     kFirstFit    — first node with enough free cores,
-//     kLeastLoaded — most free cores,
-//     kWhatIfBest  — the node where the what-if model (harness/whatif.h)
-//                    predicts the lowest post-placement unfairness.
-//
-// Per-node CoPart then partitions LLC/MBA among whatever landed there.
-// bench_cluster_placement quantifies how much placement quality the
-// what-if model buys on top of per-node CoPart.
+// The manager runs whichever PartitionPolicy its ResourceManagerParams
+// name. CoPart is the default; a node that should not partition runs the
+// "nopart" policy, where every app shares the full LLC at MBA 100 exactly
+// as on a bare machine. Which node a job lands on is the fleet's decision
+// (FleetParams::placement).
 #ifndef COPART_CLUSTER_CLUSTER_H_
 #define COPART_CLUSTER_CLUSTER_H_
 
-#include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/status.h"
 #include "core/resource_manager.h"
 #include "slo/slo_governor.h"
@@ -36,8 +21,6 @@
 #include "workload/workload.h"
 
 namespace copart {
-
-class MetricsRegistry;
 
 namespace fault_points {
 // The machine-level terminate of a half-admitted app fails during the
@@ -49,19 +32,15 @@ inline constexpr std::string_view kClusterAdmitRollback =
 
 class ClusterNode {
  public:
-  // manage = false runs the node WITHOUT a partitioning controller (all
-  // apps share the full LLC at MBA 100) — the baseline that isolates how
-  // much damage placement alone can cause or avoid.
   ClusterNode(std::string name, const MachineConfig& machine_config,
-              const ResourceManagerParams& manager_params,
-              bool manage = true);
+              const ResourceManagerParams& manager_params);
 
-  // Launches the job and hands it to this node's CoPart instance.
+  // Launches the job and hands it to this node's manager.
   Result<AppId> Admit(const WorkloadDescriptor& workload, uint32_t cores);
 
   // Launches a latency-critical job and registers it with the node's SLO
   // governor instead of the batch fairness set (requires the manager to run
-  // with params.slo.enabled). Unmanaged nodes degrade to a plain Admit.
+  // with params.slo.enabled).
   Result<AppId> AdmitLatencyCritical(const WorkloadDescriptor& workload,
                                      uint32_t cores, const LcAppModel& model);
 
@@ -69,14 +48,9 @@ class ClusterNode {
   // LC app's CLOS on its next tick after the machine-level terminate).
   Status Evict(AppId app);
 
-  // One control period: machine time plus the controller tick.
-  void Tick(double dt);
-
   const std::string& name() const { return name_; }
   uint32_t FreeCores() const { return machine_.FreeCores(); }
-  size_t NumJobs() const {
-    return manage_ ? manager_.NumApps() : machine_.ListApps().size();
-  }
+  size_t NumJobs() const { return manager_.NumApps(); }
   // Workload descriptors of everything currently resident.
   std::vector<WorkloadDescriptor> ResidentWorkloads() const;
 
@@ -87,7 +61,6 @@ class ClusterNode {
   SimulatedMachine& machine() { return machine_; }
   const SimulatedMachine& machine() const { return machine_; }
   ResourceManager& manager() { return manager_; }
-  bool managed() const { return manage_; }
 
   // Apps whose Admit() rollback could not terminate them: the manager never
   // accepted them, the machine-level kill failed, and they now squat on
@@ -102,87 +75,11 @@ class ClusterNode {
   void RollbackLaunch(AppId app);
 
   std::string name_;
-  bool manage_ = true;
   SimulatedMachine machine_;
   Resctrl resctrl_;
   PerfMonitor monitor_;
   ResourceManager manager_;
   std::vector<AppId> quarantined_apps_;
-};
-
-enum class PlacementPolicy {
-  kFirstFit,
-  kLeastLoaded,
-  kWhatIfBest,
-  kCount,  // Sentinel: number of policies, not a policy.
-};
-
-const char* PlacementPolicyName(PlacementPolicy policy);
-
-struct Placement {
-  ClusterNode* node = nullptr;
-  AppId app;
-};
-
-class Cluster {
- public:
-  Cluster() = default;
-
-  // Adds a node; returns a stable pointer owned by the cluster.
-  // manage = false disables the per-node CoPart controller.
-  ClusterNode* AddNode(const std::string& name,
-                       const MachineConfig& machine_config = {},
-                       const ResourceManagerParams& manager_params = {},
-                       bool manage = true);
-
-  // Places and admits `workload` per `policy`. kResourceExhausted when no
-  // node has `cores` free.
-  Result<Placement> Submit(const WorkloadDescriptor& workload, uint32_t cores,
-                           PlacementPolicy policy);
-
-  void Tick(double dt);
-
-  size_t NumNodes() const { return nodes_.size(); }
-  ClusterNode* node(size_t index) { return nodes_[index].get(); }
-
-  // Fleet metrics: mean per-node unfairness and geomean of ALL job
-  // slowdowns (cluster-wide fairness of outcome).
-  double MeanNodeUnfairness() const;
-  std::vector<double> AllSlowdowns() const;
-
-  // Fan-out width for what-if placement scoring (one prediction per
-  // feasible node). Scores are reduced in node order, so the chosen node is
-  // identical for every thread count.
-  void set_parallel(const ParallelConfig& parallel) { parallel_ = parallel; }
-
-  // Fan-out accounting for the most recent what-if placement decision.
-  const SweepStats& last_whatif_stats() const { return whatif_stats_; }
-
-  // Dumps fleet health into `metrics` (null = no-op), once per run like
-  // ResourceManager::ExportMetrics: per-node gauges
-  // copart.cluster.<node>.{unfairness,jobs,free_cores} and cluster-wide
-  // placement counters copart.cluster.placements.<policy> plus
-  // copart.cluster.placements.rejected — so `copartctl trace cluster`
-  // covers multi-node runs with the same artifact surface as single-node
-  // ones.
-  void ExportMetrics(MetricsRegistry* metrics) const;
-
-  // Successful placements per policy and rejected submissions so far.
-  uint64_t placements(PlacementPolicy policy) const;
-  uint64_t placements_rejected() const { return placements_rejected_; }
-
- private:
-  ClusterNode* PickNode(const WorkloadDescriptor& workload, uint32_t cores,
-                        PlacementPolicy policy);
-
-  std::vector<std::unique_ptr<ClusterNode>> nodes_;
-  ParallelConfig parallel_;
-  SweepStats whatif_stats_;
-  // One slot per PlacementPolicy; sized from the enum's kCount sentinel so
-  // adding a policy can never silently write past the end.
-  std::array<uint64_t, static_cast<size_t>(PlacementPolicy::kCount)>
-      placement_counts_{};
-  uint64_t placements_rejected_ = 0;
 };
 
 }  // namespace copart

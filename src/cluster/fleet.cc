@@ -37,6 +37,18 @@ LcAppModel MakeLcModel(const FleetJobSpec& spec,
 
 }  // namespace
 
+const char* PlacementPolicyName(PlacementPolicy policy) {
+  switch (policy) {
+    case PlacementPolicy::kFirstFit:
+      return "first-fit";
+    case PlacementPolicy::kLeastLoaded:
+      return "least-loaded";
+    case PlacementPolicy::kWhatIfBest:
+      return "what-if-best";
+  }
+  return "?";
+}
+
 const char* JobStateName(JobState state) {
   switch (state) {
     case JobState::kResident:
@@ -82,8 +94,7 @@ std::unique_ptr<ClusterNode> FleetController::MakeNode(size_t index,
   manager.control_period_sec = params_.control_period_sec;
   std::string name = "n";
   name += std::to_string(index);
-  return std::make_unique<ClusterNode>(std::move(name), machine, manager,
-                                       params_.manage_nodes);
+  return std::make_unique<ClusterNode>(std::move(name), machine, manager);
 }
 
 bool FleetController::NodeCanHost(size_t node_index, uint32_t cores) const {
@@ -95,7 +106,8 @@ bool FleetController::NodeCanHost(size_t node_index, uint32_t cores) const {
   if (node->FreeCores() < cores + params_.node_reserve_cores) {
     return false;
   }
-  // One LLC way per resident app, as Cluster::PickNode requires.
+  // One LLC way per resident app, so a per-app partitioner can always give
+  // the newcomer a way of its own.
   return node->machine().ListApps().size() + 1 <=
          node->machine().config().llc.num_ways;
 }
@@ -120,28 +132,92 @@ int FleetController::PickAdmissionNode(const FleetJobSpec& spec) const {
   if (used >= params_.admission_max_core_utilization) {
     return -1;
   }
-  // Least-loaded among healthy, fault-free nodes; ties keep the lowest
-  // index so placement is independent of thread count.
-  int best = -1;
-  uint32_t best_free = 0;
+  // Candidates are the healthy, fault-free nodes that can host the job.
+  // Every rule breaks ties toward the lowest index, so placement is
+  // independent of thread count.
+  std::vector<size_t> candidates;
+  candidates.reserve(nodes_.size());
   for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (status_[i].fault_active || !NodeCanHost(i, spec.cores)) {
-      continue;
-    }
-    const uint32_t free = nodes_[i]->FreeCores();
-    if (best < 0 || free > best_free) {
-      best = static_cast<int>(i);
-      best_free = free;
+    if (!status_[i].fault_active && NodeCanHost(i, spec.cores)) {
+      candidates.push_back(i);
     }
   }
-  return best;
+  if (candidates.empty()) {
+    return -1;
+  }
+  switch (params_.placement) {
+    case PlacementPolicy::kFirstFit:
+      return static_cast<int>(candidates.front());
+    case PlacementPolicy::kLeastLoaded: {
+      size_t best = candidates.front();
+      for (size_t i : candidates) {
+        if (nodes_[i]->FreeCores() > nodes_[best]->FreeCores()) {
+          best = i;
+        }
+      }
+      return static_cast<int>(best);
+    }
+    case PlacementPolicy::kWhatIfBest:
+      break;
+  }
+  // What-if: score the marginal harm of the placement, the total slowdown
+  // the newcomer adds (its own plus what it inflicts on the residents).
+  // Scoring absolute levels instead would make every job flee the node
+  // that already hosts a slow app even when colocating there is harmless.
+  // A small slack term breaks ties toward emptier nodes so "free"
+  // insensitive jobs do not consume the capacity a future cache-hungry
+  // arrival will need. One prediction pair per candidate, fanned out in
+  // parallel: each score reads only its own node.
+  WorkloadDescriptor job = spec.workload;
+  job.num_threads = spec.cores;
+  const auto total_slowdown = [](const WhatIfOutcome& outcome) {
+    double sum = 0.0;
+    for (double slowdown : outcome.slowdowns) {
+      sum += slowdown;
+    }
+    return sum;
+  };
+  const std::vector<double> scores = ParallelMap<double>(
+      params_.parallel, candidates.size(), [&](size_t c) {
+        const size_t i = candidates[c];
+        const ClusterNode& node = *nodes_[i];
+        const double before =
+            node.machine().ListApps().empty()
+                ? 0.0
+                : total_slowdown(PredictOnNode(i, /*job=*/nullptr));
+        const double marginal_harm =
+            total_slowdown(PredictOnNode(i, &job)) - before;
+        const double used_fraction_after =
+            1.0 - static_cast<double>(node.FreeCores() - spec.cores) /
+                      static_cast<double>(node.machine().config().num_cores);
+        return marginal_harm + 0.05 * used_fraction_after;
+      });
+  size_t best = 0;
+  for (size_t c = 1; c < candidates.size(); ++c) {
+    if (scores[c] < scores[best]) {
+      best = c;
+    }
+  }
+  return static_cast<int>(candidates[best]);
+}
+
+WhatIfOutcome FleetController::PredictOnNode(
+    size_t node_index, const WorkloadDescriptor* job) const {
+  const ClusterNode& node = *nodes_[node_index];
+  const MachineConfig& config = node.machine().config();
+  const ResourcePool pool{
+      .first_way = 0, .num_ways = config.llc.num_ways, .max_mba_percent = 100};
+  std::vector<WorkloadDescriptor> workloads = node.ResidentWorkloads();
+  if (job != nullptr) {
+    workloads.push_back(*job);
+  }
+  return PredictUcpOutcome(workloads, pool, config, /*cores_per_app=*/0);
 }
 
 Result<AppId> FleetController::AdmitToNode(size_t node_index,
                                            const FleetJob& job) {
   ClusterNode* node = nodes_[node_index].get();
-  if (job.spec.latency_critical && params_.manage_nodes &&
-      params_.manager.slo.enabled) {
+  if (job.spec.latency_critical && params_.manager.slo.enabled) {
     return node->AdmitLatencyCritical(
         job.spec.workload, job.spec.cores,
         MakeLcModel(job.spec, node->machine().config()));
@@ -283,7 +359,7 @@ void FleetController::TickNodes() {
     const double dt_eff =
         s.slow_epochs_remaining > 0 ? dt * params_.slow_factor : dt;
     node->machine().AdvanceTime(dt_eff);
-    if (node->managed() && s.blackout_epochs_remaining == 0) {
+    if (s.blackout_epochs_remaining == 0) {
       node->manager().Tick();
     }
     s.unfairness = node->CurrentUnfairness();
@@ -562,16 +638,7 @@ void FleetController::PlanMigrations() {
     moving.num_threads = job.spec.cores;
     const std::vector<double> scores = ParallelMap<double>(
         params_.parallel, candidates.size(), [&](size_t c) {
-          ClusterNode* target = nodes_[candidates[c]].get();
-          const ResourcePool pool{
-              .first_way = 0,
-              .num_ways = target->machine().config().llc.num_ways,
-              .max_mba_percent = 100};
-          std::vector<WorkloadDescriptor> with = target->ResidentWorkloads();
-          with.push_back(moving);
-          return PredictUcpOutcome(with, pool, target->machine().config(),
-                                   /*cores_per_app=*/0)
-              .unfairness;
+          return PredictOnNode(candidates[c], &moving).unfairness;
         });
     size_t best = 0;
     for (size_t c = 1; c < candidates.size(); ++c) {

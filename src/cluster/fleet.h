@@ -14,8 +14,9 @@
 //       afterwards, so results are bit-identical at any --threads).
 //   Front door      — Submit() applies admission control (fleet-wide
 //       utilization ceiling + per-node reserve) and places by
-//       least-loaded-first among healthy nodes; refusals are *shed*, and
-//       every shed is accounted for by the conservation invariant.
+//       FleetParams::placement (first-fit, least-loaded or what-if-best)
+//       among healthy nodes; refusals are *shed*, and every shed is
+//       accounted for by the conservation invariant.
 //   Fault domains   — three seeded node-level fault points
 //       (fleet.node.{crash,slow,blackout}, common/fault_injector.h):
 //       crash loses the node's jobs and reboots it empty after a recovery
@@ -57,6 +58,8 @@
 #include "workload/workload.h"
 
 namespace copart {
+
+struct WhatIfOutcome;
 
 // One job submitted to the fleet front door.
 struct FleetJobSpec {
@@ -105,6 +108,16 @@ struct FleetJob {
 
 enum class NodeHealth : uint8_t { kAlive, kDown };
 
+// How the front door picks among the nodes that can host a job.
+enum class PlacementPolicy {
+  kFirstFit,     // The lowest-index node.
+  kLeastLoaded,  // The node with the most free cores.
+  kWhatIfBest,   // The node where the what-if model (harness/whatif.h)
+                 // predicts the job adds the least total slowdown.
+};
+
+const char* PlacementPolicyName(PlacementPolicy policy);
+
 // Per-node runtime state kept by the fleet's health monitor. Written only
 // by the serial control phases and (unfairness/fault_active) by the node's
 // own parallel tick cell.
@@ -129,14 +142,15 @@ struct FleetParams {
   MachineConfig machine;
   ResourceManagerParams manager;
   double control_period_sec = 0.5;
-  bool manage_nodes = true;
 
   // --- Admission control (front door) ---
   // Refuse new jobs when the alive fleet's core utilization is at or above
   // this ceiling (headroom for the next crash wave), or when no healthy
   // node can host the job with `node_reserve_cores` still free after it.
+  // Otherwise `placement` picks among the nodes that can.
   double admission_max_core_utilization = 0.95;
   uint32_t node_reserve_cores = 0;
+  PlacementPolicy placement = PlacementPolicy::kLeastLoaded;
 
   // --- Per-node overload shedding ---
   // A node whose unfairness stays above this for shed_trend_window epochs
@@ -165,7 +179,9 @@ struct FleetParams {
   int fault_window_epochs = 12;    // Length of slow/blackout episodes.
   double slow_factor = 0.25;       // Degraded node's time dilation.
 
-  // Fan-out for the parallel node ticks and what-if scoring.
+  // Fan-out for the parallel node ticks and what-if scoring (placement
+  // and migration). Scores reduce in node order, so every decision is the
+  // same at any thread count.
   ParallelConfig parallel;
   // Node fault domains (fleet.node.* points). Not owned; null = no faults.
   FaultInjector* injector = nullptr;
@@ -239,7 +255,8 @@ class FleetController {
   double MeanNodeUnfairness() const;
 
   // Dumps the fleet counters and health gauges (copart.fleet.*) into
-  // `metrics` (null = no-op), once per run like Cluster::ExportMetrics.
+  // `metrics` (null = no-op), once per run like
+  // ResourceManager::ExportMetrics.
   void ExportMetrics(MetricsRegistry* metrics) const;
 
  private:
@@ -247,6 +264,11 @@ class FleetController {
   int PickAdmissionNode(const FleetJobSpec& spec) const;
   Result<AppId> AdmitToNode(size_t node_index, const FleetJob& job);
   bool NodeCanHost(size_t node_index, uint32_t cores) const;
+  // What-if outcome of node `node_index` running its residents plus `job`
+  // (the residents alone when `job` is null): PredictUcpOutcome on the
+  // node's whole pool, every job at its own core count.
+  WhatIfOutcome PredictOnNode(size_t node_index,
+                              const WorkloadDescriptor* job) const;
 
   void InjectFaults();
   void RebootNode(size_t node_index);

@@ -55,7 +55,8 @@ WhatIfOutcome PredictEqualShareOutcome(
 // Outcome under a miss-minimizing UCP way split (core/ucp_policy.h) at the
 // pool's MBA ceiling — a cheap proxy for what a converged dynamic
 // partitioner (CoPart) will reach on the node, and therefore the right
-// basis for placement decisions (Cluster's kWhatIfBest).
+// basis for placement decisions (the fleet's what-if-best placement and
+// its migration planner, cluster/fleet.h).
 WhatIfOutcome PredictUcpOutcome(
     const std::vector<WorkloadDescriptor>& workloads,
     const ResourcePool& pool, const MachineConfig& machine_config = {},

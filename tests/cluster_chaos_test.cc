@@ -130,8 +130,7 @@ ScheduleOutcome RunSchedule(uint64_t seed) {
     // LC floor on surviving nodes: the governor plans at registration and
     // never hands back the floor, wherever the fleet placed the job.
     ClusterNode* node = fleet.node(job.node);
-    if (node->managed() &&
-        node->manager().LcWays(job.app) < params.manager.slo.lc_way_floor) {
+    if (node->manager().LcWays(job.app) < params.manager.slo.lc_way_floor) {
       ++outcome.lc_floor_violations;
     }
   }

@@ -1,7 +1,11 @@
-// Multi-node cluster layer: admission, placement policies, fleet metrics.
+// Multi-node layer: the node, the fleet front door's placement rules,
+// fault domains, migration, and fleet metrics.
 #include "cluster/cluster.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <vector>
 
 #include "cluster/fleet.h"
 #include "common/fault_injector.h"
@@ -52,125 +56,12 @@ TEST(ClusterNodeTest, TickDrivesControllerToConvergence) {
   ASSERT_TRUE(node.Admit(Cg(), 4).ok());
   ASSERT_TRUE(node.Admit(Swaptions(), 4).ok());
   for (int i = 0; i < 120; ++i) {
-    node.Tick(0.5);
+    node.machine().AdvanceTime(0.5);
+    node.manager().Tick();
   }
   EXPECT_EQ(node.manager().phase(), ResourceManager::Phase::kIdle);
   EXPECT_EQ(node.CurrentSlowdowns().size(), 3u);
   EXPECT_GE(node.CurrentUnfairness(), 0.0);
-}
-
-TEST(ClusterTest, SubmitRespectsCapacity) {
-  Cluster cluster;
-  cluster.AddNode("n0", QuietConfig());
-  cluster.AddNode("n1", QuietConfig());
-  // 8 jobs x 4 cores fill both 16-core nodes.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit).ok())
-        << i;
-  }
-  Result<Placement> overflow =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit);
-  EXPECT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ClusterTest, FirstFitPacksLeastLoadedSpreads) {
-  Cluster cluster;
-  ClusterNode* n0 = cluster.AddNode("n0", QuietConfig());
-  ClusterNode* n1 = cluster.AddNode("n1", QuietConfig());
-
-  Result<Placement> a =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit);
-  Result<Placement> b =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kFirstFit);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->node, n0);
-  EXPECT_EQ(b->node, n0);  // First fit keeps packing node 0.
-
-  Result<Placement> c =
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kLeastLoaded);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->node, n1);  // Least loaded spreads to the empty node.
-}
-
-TEST(ClusterTest, WhatIfPlacementAvoidsCacheContention) {
-  Cluster cluster;
-  ClusterNode* n0 = cluster.AddNode("n0", QuietConfig());
-  ClusterNode* n1 = cluster.AddNode("n1", QuietConfig());
-  // Seed node 0 with a cache-hungry job and node 1 with an insensitive one
-  // (same core load on both).
-  ASSERT_TRUE(n0->Admit(Sp(), 4).ok());
-  ASSERT_TRUE(n1->Admit(Swaptions(), 4).ok());
-  // A second cache-hungry job: the what-if model must route it AWAY from
-  // the node already full of cache pressure.
-  Result<Placement> placed =
-      cluster.Submit(WaterNsquared(), 4, PlacementPolicy::kWhatIfBest);
-  ASSERT_TRUE(placed.ok());
-  EXPECT_EQ(placed->node, n1);
-}
-
-TEST(ClusterTest, FleetMetricsAggregate) {
-  Cluster cluster;
-  cluster.AddNode("n0", QuietConfig());
-  cluster.AddNode("n1", QuietConfig());
-  ASSERT_TRUE(
-      cluster.Submit(WaterNsquared(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Cg(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Sp(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kLeastLoaded).ok());
-  cluster.Tick(0.5);
-  EXPECT_EQ(cluster.AllSlowdowns().size(), 4u);
-  EXPECT_GE(cluster.MeanNodeUnfairness(), 0.0);
-}
-
-TEST(ClusterTest, ExportMetricsPublishesPlacementAndFairnessCounters) {
-  Cluster cluster;
-  cluster.AddNode("n0", QuietConfig());
-  cluster.AddNode("n1", QuietConfig());
-  ASSERT_TRUE(
-      cluster.Submit(WaterNsquared(), 4, PlacementPolicy::kFirstFit).ok());
-  ASSERT_TRUE(cluster.Submit(Cg(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(cluster.Submit(Sp(), 4, PlacementPolicy::kLeastLoaded).ok());
-  ASSERT_TRUE(
-      cluster.Submit(Swaptions(), 4, PlacementPolicy::kWhatIfBest).ok());
-  // Sixteen cores can no longer be free on either node: guaranteed reject.
-  EXPECT_FALSE(cluster.Submit(Ep(), 16, PlacementPolicy::kFirstFit).ok());
-
-  EXPECT_EQ(cluster.placements(PlacementPolicy::kFirstFit), 1u);
-  EXPECT_EQ(cluster.placements(PlacementPolicy::kLeastLoaded), 2u);
-  EXPECT_EQ(cluster.placements(PlacementPolicy::kWhatIfBest), 1u);
-  EXPECT_EQ(cluster.placements_rejected(), 1u);
-
-  for (int i = 0; i < 10; ++i) {
-    cluster.Tick(0.5);
-  }
-  MetricsRegistry metrics;
-  cluster.ExportMetrics(&metrics);
-  EXPECT_EQ(metrics.GetCounter("copart.cluster.placements.first-fit")->value(),
-            1u);
-  EXPECT_EQ(
-      metrics.GetCounter("copart.cluster.placements.least-loaded")->value(),
-      2u);
-  EXPECT_EQ(
-      metrics.GetCounter("copart.cluster.placements.what-if-best")->value(),
-      1u);
-  EXPECT_EQ(metrics.GetCounter("copart.cluster.placements.rejected")->value(),
-            1u);
-  EXPECT_EQ(metrics.GetGauge("copart.cluster.n0.jobs")->value() +
-                metrics.GetGauge("copart.cluster.n1.jobs")->value(),
-            4.0);
-  EXPECT_EQ(metrics.GetGauge("copart.cluster.n0.free_cores")->value() +
-                metrics.GetGauge("copart.cluster.n1.free_cores")->value(),
-            16.0);
-  EXPECT_GE(metrics.GetGauge("copart.cluster.mean_unfairness")->value(), 0.0);
-  EXPECT_GE(metrics.GetGauge("copart.cluster.n0.unfairness")->value(), 0.0);
-  // Null registry: a no-op, not a crash.
-  cluster.ExportMetrics(nullptr);
 }
 
 TEST(ClusterNodeTest, EvictUnknownAppReturnsNotFound) {
@@ -179,14 +70,90 @@ TEST(ClusterNodeTest, EvictUnknownAppReturnsNotFound) {
   EXPECT_EQ(evicted.code(), StatusCode::kNotFound);
 }
 
-TEST(ClusterNodeTest, UnmanagedNodeAdmitsAndEvicts) {
-  ClusterNode node("n0", QuietConfig(), {}, /*manage=*/false);
-  Result<AppId> app = node.Admit(Cg(), 4);
-  ASSERT_TRUE(app.ok());
-  EXPECT_EQ(node.NumJobs(), 1u);
-  ASSERT_TRUE(node.Evict(*app).ok());
-  EXPECT_EQ(node.NumJobs(), 0u);
-  EXPECT_EQ(node.Evict(*app).code(), StatusCode::kNotFound);
+TEST(ClusterNodeTest, FailedAdmissionsLeaveNothingBehind) {
+  ClusterNode node("n0", QuietConfig(), {});
+  // Too few cores: the launch itself fails.
+  EXPECT_EQ(node.Admit(Cg(), 17).status().code(),
+            StatusCode::kResourceExhausted);
+  LcAppModel model;
+  model.slo_p95_ms = 1.0;
+  EXPECT_EQ(node.AdmitLatencyCritical(Memcached(), 17, model).status().code(),
+            StatusCode::kResourceExhausted);
+  // The launch succeeds but the manager refuses the LC registration (SLO
+  // mode is off): the app is rolled back off the machine.
+  EXPECT_EQ(node.AdmitLatencyCritical(Memcached(), 4, model).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(node.machine().ListApps().empty());
+  EXPECT_TRUE(node.quarantined_apps().empty());
+  EXPECT_EQ(node.FreeCores(), 16u);
+}
+
+TEST(ClusterNodeTest, NoPartNodeMatchesABareMachine) {
+  // A node that should not partition runs the "nopart" policy: every app
+  // shares the full LLC at MBA 100, so the node must evolve exactly like a
+  // bare machine built from the same config.
+  const MachineConfig config = QuietConfig();
+  ResourceManagerParams manager;
+  manager.partition_policy = "nopart";
+  ClusterNode node("n0", config, manager);
+  SimulatedMachine bare(config);
+  std::vector<AppId> node_apps;
+  std::vector<AppId> bare_apps;
+  int periods_run = 0;
+  int mismatches = 0;
+  const auto run = [&](int periods) {
+    for (int p = 0; p < periods; ++p, ++periods_run) {
+      node.machine().AdvanceTime(0.5);
+      node.manager().Tick();
+      bare.AdvanceTime(0.5);
+      for (size_t k = 0; k < node_apps.size(); ++k) {
+        // Bit for bit: the same noise draws and the same solve.
+        if (node.machine().LastEpoch(node_apps[k]).ips !=
+            bare.LastEpoch(bare_apps[k]).ips) {
+          ++mismatches;
+        }
+      }
+    }
+  };
+  // Admitted one at a time, with the node running in between.
+  for (const WorkloadDescriptor& workload :
+       {WaterNsquared(), Cg(), Sp(), Swaptions(), Ep(), Fmm()}) {
+    Result<AppId> on_node = node.Admit(workload, 2);
+    Result<AppId> on_bare = bare.LaunchApp(workload, 2);
+    ASSERT_TRUE(on_node.ok());
+    ASSERT_TRUE(on_bare.ok());
+    node_apps.push_back(*on_node);
+    bare_apps.push_back(*on_bare);
+    run(20);
+  }
+  run(80);
+  ASSERT_TRUE(node.Evict(node_apps[2]).ok());
+  ASSERT_TRUE(bare.TerminateApp(bare_apps[2]).ok());
+  node_apps.erase(node_apps.begin() + 2);
+  bare_apps.erase(bare_apps.begin() + 2);
+  run(50);
+  EXPECT_GE(periods_run, 200);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(node.NumJobs(), 5u);
+  EXPECT_EQ(node.Evict(AppId{424242}).code(), StatusCode::kNotFound);
+}
+
+TEST(ClusterNodeTest, NoPartNodeAdmitsMoreAppsThanWays) {
+  // Shared-pool admission has no one-way-per-app limit: a 16-core node
+  // takes 14 one-core apps on its 11 ways.
+  ResourceManagerParams manager;
+  manager.partition_policy = "nopart";
+  ClusterNode node("n0", QuietConfig(), manager);
+  ASSERT_LT(node.machine().config().llc.num_ways, 14u);
+  for (int i = 0; i < 14; ++i) {
+    ASSERT_TRUE(node.Admit(Swaptions(), 1).ok()) << i;
+  }
+  EXPECT_EQ(node.NumJobs(), 14u);
+  for (int i = 0; i < 10; ++i) {
+    node.machine().AdvanceTime(0.5);
+    node.manager().Tick();
+  }
+  EXPECT_EQ(node.CurrentSlowdowns().size(), 14u);
 }
 
 TEST(ClusterNodeTest, AdmitRollbackQuarantinesWhenTerminateFails) {
@@ -287,6 +254,29 @@ TEST(FleetTest, CrashLosesResidentsAndRebootsEmpty) {
   EXPECT_EQ(fleet.counters().invariant_violations, 0u);
 }
 
+TEST(FleetTest, InvariantCheckFlagsAppsTheFleetDoesNotAccountFor) {
+  FleetController fleet(2, QuietFleetParams());
+  const Result<FleetJobId> id = fleet.Submit(BatchJob(Swaptions(), 2));
+  ASSERT_TRUE(id.ok());
+  fleet.RunEpoch();
+  EXPECT_EQ(fleet.counters().invariant_violations, 0u);
+  // An app launched behind the front door's back breaks node 1's census.
+  ASSERT_TRUE(fleet.node(1)->Admit(Cg(), 2).ok());
+  fleet.RunEpoch();
+  EXPECT_EQ(fleet.counters().invariant_violations, 1u);
+  EXPECT_NE(fleet.first_violation().find("census mismatch on node 1"),
+            std::string::npos)
+      << fleet.first_violation();
+  // A resident job killed behind its back is missing from its node. Every
+  // failing check counts; the first violation is the one kept.
+  const FleetJob& job = fleet.jobs()[*id];
+  ASSERT_TRUE(fleet.node(job.node)->Evict(job.app).ok());
+  fleet.RunEpoch();
+  EXPECT_EQ(fleet.counters().invariant_violations, 2u);
+  EXPECT_NE(fleet.first_violation().find("census mismatch on node 1"),
+            std::string::npos);
+}
+
 TEST(FleetTest, LatencyCriticalJobKeepsTheGovernorWayFloor) {
   FleetParams params = QuietFleetParams();
   params.manager.slo.enabled = true;
@@ -350,7 +340,122 @@ TEST(FleetScenarioTest, SummaryIsBitIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(serial.empty());
 }
 
-TEST(ClusterTest, WhatIfBeatsFirstFitOnASkewedArrivalSequence) {
+FleetParams PlacementParams(PlacementPolicy placement) {
+  FleetParams params = QuietFleetParams();
+  params.placement = placement;
+  return params;
+}
+
+// Placement alone: no migration and no overload shedding, so every job stays
+// on the node the front door picked.
+FleetParams PlacementOnlyParams(PlacementPolicy placement) {
+  FleetParams params = PlacementParams(placement);
+  params.max_migrations_per_epoch = 0;
+  params.shed_unfairness_threshold = std::numeric_limits<double>::infinity();
+  return params;
+}
+
+int NodeOf(const FleetController& fleet, const Result<FleetJobId>& id) {
+  return id.ok() ? fleet.jobs()[*id].node : -1;
+}
+
+TEST(FleetPlacementTest, SubmitRespectsCapacity) {
+  FleetController fleet(2, PlacementParams(PlacementPolicy::kFirstFit));
+  // 8 jobs x 4 cores fill both 16-core nodes, node 0 first.
+  for (int i = 0; i < 8; ++i) {
+    const Result<FleetJobId> id = fleet.Submit(BatchJob(Swaptions(), 4));
+    ASSERT_TRUE(id.ok()) << i;
+    EXPECT_EQ(NodeOf(fleet, id), i < 4 ? 0 : 1) << i;
+  }
+  const Result<FleetJobId> overflow = fleet.Submit(BatchJob(Swaptions(), 4));
+  EXPECT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(fleet.counters().shed_admission, 1u);
+  EXPECT_EQ(fleet.ResidentJobs(), 8u);
+}
+
+TEST(FleetPlacementTest, FirstFitPacksLeastLoadedSpreads) {
+  FleetController first_fit(2, PlacementParams(PlacementPolicy::kFirstFit));
+  EXPECT_EQ(NodeOf(first_fit, first_fit.Submit(BatchJob(Swaptions(), 4))), 0);
+  // First fit keeps packing node 0.
+  EXPECT_EQ(NodeOf(first_fit, first_fit.Submit(BatchJob(Swaptions(), 4))), 0);
+
+  FleetController least_loaded(2,
+                               PlacementParams(PlacementPolicy::kLeastLoaded));
+  EXPECT_EQ(
+      NodeOf(least_loaded, least_loaded.Submit(BatchJob(Swaptions(), 4))), 0);
+  // Least loaded spreads to the empty node.
+  EXPECT_EQ(
+      NodeOf(least_loaded, least_loaded.Submit(BatchJob(Swaptions(), 4))), 1);
+}
+
+TEST(FleetPlacementTest, EveryRuleSkipsNodesThatCannotHost) {
+  for (PlacementPolicy placement :
+       {PlacementPolicy::kFirstFit, PlacementPolicy::kLeastLoaded,
+        PlacementPolicy::kWhatIfBest}) {
+    FleetController fleet(3, PlacementParams(placement));
+    fleet.CrashNode(0);
+    // The node that takes the 14-core job is left with 2 free cores, too
+    // few for a 4-core job, so only the third node can host the next one.
+    const int filled = NodeOf(fleet, fleet.Submit(BatchJob(Swaptions(), 14)));
+    ASSERT_TRUE(filled == 1 || filled == 2) << filled;
+    EXPECT_EQ(NodeOf(fleet, fleet.Submit(BatchJob(Cg(), 4))), 3 - filled)
+        << PlacementPolicyName(placement);
+  }
+}
+
+TEST(FleetPlacementTest, WhatIfPlacementAvoidsCacheContention) {
+  FleetController fleet(2, PlacementParams(PlacementPolicy::kWhatIfBest));
+  // Seed node 0 with a cache-hungry job and node 1 with an insensitive one
+  // (same core load on both). Empty nodes tie, and ties go to node 0.
+  ASSERT_EQ(NodeOf(fleet, fleet.Submit(BatchJob(Sp(), 4))), 0);
+  ASSERT_EQ(NodeOf(fleet, fleet.Submit(BatchJob(Swaptions(), 4))), 1);
+  // A second cache-hungry job: the what-if model must route it AWAY from
+  // the node already full of cache pressure.
+  EXPECT_EQ(NodeOf(fleet, fleet.Submit(BatchJob(WaterNsquared(), 4))), 1);
+}
+
+TEST(FleetPlacementTest, WhatIfPlacementIsThreadCountInvariant) {
+  const std::vector<WorkloadDescriptor> arrivals = {
+      WaterNsquared(), Cg(),  Sp(),       Swaptions(), WaterSpatial(),
+      OceanCp(),       Ep(),  OceanNcp(), Raytrace(),  Ft(),
+      Fmm(),           Ep()};
+  struct Run {
+    std::vector<int> nodes;
+    double mean_node_unfairness = 0.0;
+  };
+  const auto run = [&](uint32_t threads) {
+    FleetParams params = PlacementParams(PlacementPolicy::kWhatIfBest);
+    params.parallel.num_threads = threads;
+    FleetController fleet(4, params);
+    Run result;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+      result.nodes.push_back(
+          NodeOf(fleet, fleet.Submit(BatchJob(arrivals[i], 4))));
+      // The second half arrives on nodes the first half has been running.
+      if (i == arrivals.size() / 2) {
+        for (int e = 0; e < 10; ++e) {
+          fleet.RunEpoch();
+        }
+      }
+    }
+    for (int e = 0; e < 10; ++e) {
+      fleet.RunEpoch();
+    }
+    result.mean_node_unfairness = fleet.MeanNodeUnfairness();
+    EXPECT_EQ(fleet.counters().invariant_violations, 0u);
+    return result;
+  };
+  const Run serial = run(1);
+  const Run threaded = run(4);
+  EXPECT_EQ(serial.nodes, threaded.nodes);
+  EXPECT_EQ(serial.mean_node_unfairness, threaded.mean_node_unfairness);
+  for (int node : serial.nodes) {
+    EXPECT_GE(node, 0);
+  }
+}
+
+TEST(FleetPlacementTest, WhatIfBeatsFirstFitOnASkewedArrivalSequence) {
   // Small 2-core jobs so first-fit stacks EIGHT jobs — five of them
   // cache-hungry, with way demand far beyond one node's 11 ways — onto
   // node 0 while node 1 idles with the insensitive tail. Per-node CoPart
@@ -359,26 +464,56 @@ TEST(ClusterTest, WhatIfBeatsFirstFitOnASkewedArrivalSequence) {
   const std::vector<WorkloadDescriptor> arrivals = {
       WaterNsquared(), WaterSpatial(), Sp(),  OceanNcp(), Raytrace(),
       Swaptions(),     Ep(),           Ep(),  Swaptions(), Ep()};
-  auto run = [&](PlacementPolicy policy) {
-    Cluster cluster;
-    cluster.AddNode("n0", QuietConfig());
-    cluster.AddNode("n1", QuietConfig());
+  auto run = [&](PlacementPolicy placement) {
+    FleetController fleet(2, PlacementOnlyParams(placement));
     for (const WorkloadDescriptor& workload : arrivals) {
-      CHECK(cluster.Submit(workload, 2, policy).ok());
+      CHECK(fleet.Submit(BatchJob(workload, 2)).ok());
     }
     for (int i = 0; i < 200; ++i) {
-      cluster.Tick(0.5);
+      fleet.RunEpoch();
     }
+    const std::vector<double> slowdowns = fleet.AllSlowdowns();
     double sum = 0.0;
-    for (double slowdown : cluster.AllSlowdowns()) {
+    for (double slowdown : slowdowns) {
       sum += slowdown;
     }
-    return sum / static_cast<double>(cluster.AllSlowdowns().size());
+    return sum / static_cast<double>(slowdowns.size());
   };
   const double first_fit_mean = run(PlacementPolicy::kFirstFit);
   const double whatif_mean = run(PlacementPolicy::kWhatIfBest);
   EXPECT_LT(whatif_mean, first_fit_mean)
       << "what-if " << whatif_mean << " vs first-fit " << first_fit_mean;
+}
+
+TEST(FleetPlacementTest, FleetMetricsAggregateAndExport) {
+  FleetController fleet(2, QuietFleetParams());
+  for (const WorkloadDescriptor& workload :
+       {WaterNsquared(), Cg(), Sp(), Swaptions()}) {
+    ASSERT_TRUE(fleet.Submit(BatchJob(workload, 4)).ok());
+  }
+  // Least-loaded leaves 8 free cores per node: a 16-core job is refused.
+  EXPECT_FALSE(fleet.Submit(BatchJob(Ep(), 16)).ok());
+  for (int e = 0; e < 10; ++e) {
+    fleet.RunEpoch();
+  }
+  EXPECT_EQ(fleet.AllSlowdowns().size(), 4u);
+  EXPECT_GE(fleet.MeanNodeUnfairness(), 0.0);
+  MetricsRegistry metrics;
+  fleet.ExportMetrics(&metrics);
+  EXPECT_EQ(metrics.GetCounter("copart.fleet.jobs.submitted")->value(), 5u);
+  EXPECT_EQ(metrics.GetCounter("copart.fleet.jobs.shed_admission")->value(),
+            1u);
+  EXPECT_EQ(metrics.GetCounter("copart.fleet.invariant.checks")->value(),
+            10u);
+  EXPECT_EQ(metrics.GetCounter("copart.fleet.invariant.violations")->value(),
+            0u);
+  EXPECT_EQ(metrics.GetGauge("copart.fleet.jobs.resident")->value(), 4.0);
+  EXPECT_EQ(metrics.GetGauge("copart.fleet.nodes.alive")->value(), 2.0);
+  EXPECT_EQ(metrics.GetGauge("copart.fleet.epoch")->value(), 10.0);
+  EXPECT_EQ(metrics.GetGauge("copart.fleet.mean_node_unfairness")->value(),
+            fleet.MeanNodeUnfairness());
+  // Null registry: a no-op, not a crash.
+  fleet.ExportMetrics(nullptr);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@
 #include <sstream>
 #include <string>
 
-#include "cluster/cluster.h"
+#include "cluster/fleet.h"
 #include "common/parallel.h"
 #include "harness/case_study.h"
 #include "harness/chaos.h"
@@ -459,34 +459,42 @@ int CmdTrace(const std::string& target, size_t count, double duration,
                 lc.p95_ms, 100.0 * lc.slo_violation_fraction,
                 result.run_batch_unfairness);
   } else if (target == "cluster") {
-    // A small placement demo: two managed nodes, six jobs placed by the
-    // what-if policy, run to convergence. Node 0's controller carries the
-    // trace/audit streams; the cluster dumps fleet gauges and placement
-    // counters into the shared metrics registry.
-    Cluster cluster;
-    ClusterNode* n0 = cluster.AddNode("n0");
-    cluster.AddNode("n1");
-    n0->manager().SetObservability(&obs);
+    // A small placement demo: a fault-free two-node fleet of CoPart nodes,
+    // six jobs placed by the what-if policy, run to convergence. Node 0's
+    // controller carries the trace/audit streams; the fleet adds its
+    // migration records and dumps its copart.fleet.* counters and gauges
+    // into the shared metrics registry.
+    FleetParams params;
+    params.placement = PlacementPolicy::kWhatIfBest;
+    params.obs = &obs;
+    // Two nodes tick on the calling thread, so node 0's spans land in one
+    // trace ring whatever the host's core count.
+    params.parallel.num_threads = 1;
+    FleetController fleet(2, params);
+    fleet.node(0)->manager().SetObservability(&obs);
     const WorkloadDescriptor jobs[] = {WaterNsquared(), Cg(),  Sp(),
                                        Swaptions(),     Fmm(), Ep()};
     for (const WorkloadDescriptor& job : jobs) {
-      const Result<Placement> placed =
-          cluster.Submit(job, 4, PlacementPolicy::kWhatIfBest);
+      FleetJobSpec spec;
+      spec.workload = job;
+      spec.cores = 4;
+      const Result<FleetJobId> placed = fleet.Submit(spec);
       if (!placed.ok()) {
         std::fprintf(stderr, "%s\n", placed.status().ToString().c_str());
         return 1;
       }
     }
-    for (int tick = 0; tick < 40; ++tick) {
-      cluster.Tick(0.5);
+    for (int epoch = 0; epoch < 40; ++epoch) {
+      fleet.RunEpoch();
     }
-    cluster.ExportMetrics(ObsMetrics(&obs));
-    std::printf("cluster (2 nodes, 6 jobs, what-if placement), "
+    fleet.ExportMetrics(ObsMetrics(&obs));
+    std::printf("fleet (2 nodes, 6 jobs, what-if placement), "
                 "observability on node n0:\n");
-    std::printf("mean node unfairness: %.4f   what-if placements: %llu\n",
-                cluster.MeanNodeUnfairness(),
+    std::printf("mean node unfairness: %.4f   resident jobs: %zu   "
+                "migrations: %llu\n",
+                fleet.MeanNodeUnfairness(), fleet.ResidentJobs(),
                 static_cast<unsigned long long>(
-                    cluster.placements(PlacementPolicy::kWhatIfBest)));
+                    fleet.counters().migrations_completed));
   } else {
     Result<MixFamily> family = FindMix(target);
     if (!family.ok()) {

@@ -22,7 +22,8 @@ TESTS=(
   # memo fills lazily; the fleet's node workers reach both concurrently.
   cache_compiled_mrc_test
   # The fleet controller ticks hundreds of nodes on the pool every epoch
-  # and scores migration candidates with a parallel what-if fan-out; the
+  # and scores placement and migration candidates with a parallel what-if
+  # fan-out (cluster_test runs the placement one at 4 threads); the
   # chaos suite additionally fans 200 whole fleet schedules out on the
   # outer pool. Both must stay race-free and thread-count-invariant.
   cluster_test
