@@ -8,6 +8,12 @@
 // pure functions of the seed, so any drift is a behavior change that must
 // be a deliberate baseline refresh, not noise.
 //
+// The throughput loop also runs at 1 thread, and the report carries the
+// default thread count, the 1-thread rate and the ratio of the two rates
+// (how the fleet scales with threads on the host that runs the bench).
+// Those points depend on the host's cores, so the smoke script prints them
+// without gating them.
+//
 // Flags:
 //   --json=PATH         where to write the JSON report
 //                       (default BENCH_fleet.json in the CWD — run from
@@ -21,6 +27,7 @@
 #include <string>
 
 #include "cluster/fleet.h"
+#include "common/parallel.h"
 #include "harness/fleet.h"
 #include "workload/workload.h"
 
@@ -49,12 +56,14 @@ FleetScenarioConfig CanonicalScenario() {
   return config;
 }
 
-// Alive-node ticks per wall-clock second of the parallel fleet control
-// loop, measured on a steadily loaded fleet with no faults (so the work
-// per epoch is stable and the number is comparable across runs).
-double MeasureNodeTicksPerSec(double min_seconds) {
+// Alive-node ticks per wall-clock second of the fleet control loop at
+// `parallel`, measured on a steadily loaded fleet with no faults (so the
+// work per epoch is stable and the number is comparable across runs).
+double MeasureNodeTicksPerSec(double min_seconds,
+                              const ParallelConfig& parallel) {
   FleetParams params;
   params.machine.ips_noise_sigma = 0.005;
+  params.parallel = parallel;
   FleetController fleet(128, params);
   FleetJobSpec spec;
   spec.workload = Swaptions();
@@ -80,8 +89,18 @@ double MeasureNodeTicksPerSec(double min_seconds) {
 }
 
 int Run(const std::string& json_path, double min_seconds) {
-  const double node_ticks_per_sec = MeasureNodeTicksPerSec(min_seconds);
-  std::printf("fleet: node_ticks_per_sec=%.0f\n", node_ticks_per_sec);
+  const ParallelConfig default_threads;  // The hardware concurrency.
+  const double node_ticks_per_sec =
+      MeasureNodeTicksPerSec(min_seconds, default_threads);
+  const double node_ticks_per_sec_1_thread =
+      MeasureNodeTicksPerSec(min_seconds, ParallelConfig{.num_threads = 1});
+  const double thread_scaling =
+      node_ticks_per_sec / node_ticks_per_sec_1_thread;
+  std::printf(
+      "fleet: node_ticks_per_sec=%.0f at %u threads, %.0f at 1 thread "
+      "(scaling %.3f)\n",
+      node_ticks_per_sec, default_threads.ResolveThreads(),
+      node_ticks_per_sec_1_thread, thread_scaling);
 
   const FleetScenarioResult r = RunFleetScenario(CanonicalScenario());
   std::printf(
@@ -123,8 +142,17 @@ int Run(const std::string& json_path, double min_seconds) {
       out, "    {\"point\": \"fleet_migration_rollbacks\", \"value\": %llu},\n",
       static_cast<unsigned long long>(r.counters.migration_rollbacks));
   std::fprintf(out,
-               "    {\"point\": \"fleet_recovery_epochs\", \"value\": %d}\n",
+               "    {\"point\": \"fleet_recovery_epochs\", \"value\": %d},\n",
                r.recovery_epochs);
+  std::fprintf(out, "    {\"point\": \"fleet_threads\", \"value\": %u},\n",
+               default_threads.ResolveThreads());
+  std::fprintf(out,
+               "    {\"point\": \"fleet_node_ticks_per_sec_1_thread\", "
+               "\"value\": %.1f},\n",
+               node_ticks_per_sec_1_thread);
+  std::fprintf(out,
+               "    {\"point\": \"fleet_thread_scaling\", \"value\": %.3f}\n",
+               thread_scaling);
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("fleet: wrote %s\n", json_path.c_str());

@@ -108,7 +108,7 @@ bool FleetController::NodeCanHost(size_t node_index, uint32_t cores) const {
   }
   // One LLC way per resident app, so a per-app partitioner can always give
   // the newcomer a way of its own.
-  return node->machine().ListApps().size() + 1 <=
+  return node->machine().NumApps() + 1 <=
          node->machine().config().llc.num_ways;
 }
 
@@ -182,7 +182,7 @@ int FleetController::PickAdmissionNode(const FleetJobSpec& spec) const {
         const size_t i = candidates[c];
         const ClusterNode& node = *nodes_[i];
         const double before =
-            node.machine().ListApps().empty()
+            node.machine().NumApps() == 0
                 ? 0.0
                 : total_slowdown(PredictOnNode(i, /*job=*/nullptr));
         const double marginal_harm =
@@ -232,16 +232,15 @@ Result<FleetJobId> FleetController::Submit(const FleetJobSpec& spec) {
   job.spec = spec;
   ++counters_.submitted;
   const int target = PickAdmissionNode(spec);
-  if (target < 0) {
-    job.state = JobState::kShed;
-    ++counters_.shed_admission;
-    AuditNode(static_cast<size_t>(-1), "admission_shed");
-    return ResourceExhaustedError("fleet admission: no capacity for " +
-                                  spec.workload.name);
-  }
-  Result<AppId> app = AdmitToNode(static_cast<size_t>(target), job);
+  Result<AppId> app =
+      target < 0 ? Result<AppId>(ResourceExhaustedError(
+                       "fleet admission: no capacity for " +
+                       spec.workload.name))
+                 : AdmitToNode(static_cast<size_t>(target), job);
   if (!app.ok()) {
+    // Shed at the door: the job is terminal without ever going live.
     job.state = JobState::kShed;
+    Retire(job);
     ++counters_.shed_admission;
     AuditNode(static_cast<size_t>(-1), "admission_shed");
     return app.status();
@@ -250,7 +249,12 @@ Result<FleetJobId> FleetController::Submit(const FleetJobSpec& spec) {
   job.node = target;
   job.app = *app;
   job.admit_epoch = epoch_;
+  live_jobs_.push_back(id);
   return id;
+}
+
+void FleetController::Retire(const FleetJob& job) {
+  ++retired_[static_cast<size_t>(job.state)];
 }
 
 void FleetController::RunEpoch() {
@@ -311,7 +315,8 @@ void FleetController::CrashNode(size_t node_index) {
   if (s.health == NodeHealth::kDown) {
     return;
   }
-  for (FleetJob& job : jobs_) {
+  for (const FleetJobId id : live_jobs_) {
+    FleetJob& job = jobs_[id];
     if (job.state == JobState::kResident &&
         job.node == static_cast<int>(node_index)) {
       job.state = JobState::kLost;
@@ -405,7 +410,8 @@ void FleetController::UpdateHealth() {
 }
 
 void FleetController::CompleteJobs() {
-  for (FleetJob& job : jobs_) {
+  for (const FleetJobId id : live_jobs_) {
+    FleetJob& job = jobs_[id];
     if (job.state != JobState::kResident) {
       continue;
     }
@@ -436,7 +442,7 @@ void FleetController::ShedOverloadedNodes() {
     // Drop the NEWEST batch job: it has sunk the least work, and the older
     // residents were fine before it arrived. LC jobs are never shed here.
     int victim = -1;
-    for (size_t j = 0; j < jobs_.size(); ++j) {
+    for (const FleetJobId j : live_jobs_) {
       const FleetJob& job = jobs_[j];
       if (job.state != JobState::kResident ||
           job.node != static_cast<int>(i) || job.spec.latency_critical ||
@@ -463,7 +469,7 @@ void FleetController::ShedOverloadedNodes() {
 }
 
 void FleetController::VerifyMigrations() {
-  for (size_t j = 0; j < jobs_.size(); ++j) {
+  for (const FleetJobId j : live_jobs_) {
     FleetJob& job = jobs_[j];
     if (!job.verifying || job.state != JobState::kResident) {
       continue;
@@ -586,7 +592,7 @@ void FleetController::PlanMigrations() {
     const SimulatedMachine& machine = nodes_[source]->machine();
     int victim = -1;
     double victim_slowdown = 0.0;
-    for (size_t j = 0; j < jobs_.size(); ++j) {
+    for (const FleetJobId j : live_jobs_) {
       const FleetJob& job = jobs_[j];
       if (job.state != JobState::kResident ||
           job.node != static_cast<int>(source) || job.spec.latency_critical ||
@@ -717,30 +723,25 @@ void FleetController::CheckInvariants() {
   ++counters_.conservation_checks;
   invariant_failed_this_check_ = false;
 
-  uint64_t resident = 0;
-  uint64_t completed = 0;
-  uint64_t shed = 0;
-  uint64_t lost = 0;
-  std::vector<std::vector<AppId>> per_node(nodes_.size());
-  for (size_t j = 0; j < jobs_.size(); ++j) {
+  // One walk of the live list compacts it and checks every resident. A job
+  // that went terminal since the last check is tallied once, by the state
+  // it ended in, and dropped, so the walk costs what the live fleet costs
+  // rather than what its history does.
+  census_.resize(nodes_.size());
+  for (std::vector<AppId>& apps : census_) {
+    apps.clear();
+  }
+  size_t kept = 0;
+  for (const FleetJobId j : live_jobs_) {
     const FleetJob& job = jobs_[j];
-    switch (job.state) {
-      case JobState::kResident:
-        ++resident;
-        break;
-      case JobState::kCompleted:
-        ++completed;
-        break;
-      case JobState::kShed:
-        ++shed;
-        break;
-      case JobState::kLost:
-        ++lost;
-        break;
-    }
     if (job.state != JobState::kResident) {
+      Retire(job);
       continue;
     }
+    if (kept > 0 && j <= live_jobs_[kept - 1]) {
+      Fail("live list not strictly ascending at job " + std::to_string(j));
+    }
+    live_jobs_[kept++] = j;
     if (job.node < 0 || job.node >= static_cast<int>(nodes_.size())) {
       Fail("job " + std::to_string(j) + " resident on invalid node " +
            std::to_string(job.node));
@@ -751,12 +752,18 @@ void FleetController::CheckInvariants() {
            std::to_string(job.node));
       continue;
     }
-    per_node[job.node].push_back(job.app);
+    census_[job.node].push_back(job.app);
     if (!nodes_[job.node]->machine().AppExists(job.app)) {
       Fail("job " + std::to_string(j) + " missing from node " +
            std::to_string(job.node));
     }
   }
+  live_jobs_.resize(kept);
+  const uint64_t resident = kept;
+  const uint64_t completed =
+      retired_[static_cast<size_t>(JobState::kCompleted)];
+  const uint64_t shed = retired_[static_cast<size_t>(JobState::kShed)];
+  const uint64_t lost = retired_[static_cast<size_t>(JobState::kLost)];
 
   // Conservation: every submission is in exactly one terminal-or-resident
   // bucket, and the buckets match the event counters.
@@ -782,7 +789,7 @@ void FleetController::CheckInvariants() {
     if (status_[i].health != NodeHealth::kAlive) {
       continue;
     }
-    std::vector<AppId>& apps = per_node[i];
+    std::vector<AppId>& apps = census_[i];
     std::sort(apps.begin(), apps.end());
     for (size_t k = 1; k < apps.size(); ++k) {
       if (apps[k] == apps[k - 1]) {
@@ -791,7 +798,7 @@ void FleetController::CheckInvariants() {
     }
     const size_t expected =
         apps.size() + nodes_[i]->quarantined_apps().size();
-    const size_t actual = nodes_[i]->machine().ListApps().size();
+    const size_t actual = nodes_[i]->machine().NumApps();
     if (actual != expected) {
       Fail("census mismatch on node " + std::to_string(i) + ": machine runs " +
            std::to_string(actual) + " apps, fleet accounts for " +
@@ -816,8 +823,8 @@ size_t FleetController::AliveNodes() const {
 
 size_t FleetController::ResidentJobs() const {
   size_t resident = 0;
-  for (const FleetJob& job : jobs_) {
-    if (job.state == JobState::kResident) {
+  for (const FleetJobId id : live_jobs_) {
+    if (jobs_[id].state == JobState::kResident) {
       ++resident;
     }
   }

@@ -41,9 +41,18 @@
 // quarantined zombies). Violations are counted and the first one is
 // recorded; the chaos suite (tests/cluster_chaos_test.cc) pins all three
 // across 200 seeded fault schedules.
+//
+// Every pass that visits jobs walks the live list, the ascending ids of
+// the resident jobs, rather than the whole job ledger, so an epoch costs
+// what the live fleet costs and not what its history does. A job joins the
+// list at admission. Once it goes terminal it leaves at the next invariant
+// check, which tallies it once by the state it ended in; the conservation
+// buckets are those tallies plus the live residents. A terminal state is
+// final.
 #ifndef COPART_CLUSTER_FLEET_H_
 #define COPART_CLUSTER_FLEET_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -280,6 +289,8 @@ class FleetController {
   void PlanMigrations();
   void RollbackMigration(FleetJobId job_id, const char* trigger);
   void CheckInvariants();
+  // Tallies a terminal job into retired_ by its state.
+  void Retire(const FleetJob& job);
   void Fail(std::string why);
 
   void AuditNode(size_t node_index, const char* trigger);
@@ -290,6 +301,15 @@ class FleetController {
   std::vector<std::unique_ptr<ClusterNode>> nodes_;
   std::vector<FleetNodeStatus> status_;
   std::vector<FleetJob> jobs_;
+  // Ids of the live jobs, ascending: appended at admission, compacted by
+  // CheckInvariants. Between checks it still holds the jobs that went
+  // terminal since the last one, so every walk tests the job's state.
+  std::vector<FleetJobId> live_jobs_;
+  // Jobs off the live list (or shed at the door), indexed by JobState.
+  std::array<uint64_t, 4> retired_{};
+  // CheckInvariants' per-node census, the apps of each node's residents.
+  // Rebuilt by every check; a member only so its storage is reused.
+  std::vector<std::vector<AppId>> census_;
   FleetCounters counters_;
   uint64_t epoch_ = 0;
   uint64_t node_ticks_ = 0;

@@ -19,6 +19,8 @@ namespace {
 // Marks threads that belong to some ThreadPool so nested parallel regions
 // can be rejected before they deadlock.
 thread_local bool tls_on_worker_thread = false;
+// Marks a ParallelFor caller while it runs cells of its own fan-out.
+thread_local bool tls_in_parallel_region = false;
 
 double ProcessCpuSeconds() {
 #if defined(CLOCK_PROCESS_CPUTIME_ID)
@@ -32,12 +34,13 @@ double ProcessCpuSeconds() {
 }
 
 // The process-wide workers of every ParallelFor that resolves to
-// `num_threads`, created on first use and reused by every later call.
+// `num_threads`, created on first use and reused by every later call. The
+// caller is the remaining participant, so the pool has one worker fewer.
 // `fan_out` is held for a whole fan-out, so calls from distinct threads
 // take turns on the workers instead of mixing their cells.
 struct SharedPool {
   explicit SharedPool(uint32_t num_threads)
-      : pool(num_threads, /*queue_capacity=*/num_threads) {}
+      : pool(num_threads - 1, /*queue_capacity=*/num_threads - 1) {}
   std::mutex fan_out;
   ThreadPool pool;
 };
@@ -238,15 +241,16 @@ void ParallelFor(const ParallelConfig& config, size_t n,
     finish(n);
     return;
   }
-  if (ThreadPool::OnWorkerThread()) {
+  if (tls_in_parallel_region || ThreadPool::OnWorkerThread()) {
     throw std::logic_error(
         "nested ParallelFor: a parallel region may not start another one "
         "with num_threads != 1");
   }
 
-  // Dynamic load balancing over a shared cursor: workers claim the next
-  // unclaimed index. Which worker runs which cell varies run to run, but
-  // each cell's result depends only on its index, so output does not.
+  // Dynamic load balancing over a shared cursor: the caller and the pool
+  // workers claim the next unclaimed index. Which thread runs which cell
+  // varies run to run, but each cell's result depends only on its index,
+  // so output does not.
   std::atomic<size_t> next{0};
   std::atomic<bool> cancelled{false};
   std::atomic<size_t> completed{0};
@@ -254,31 +258,38 @@ void ParallelFor(const ParallelConfig& config, size_t n,
   size_t error_index = std::numeric_limits<size_t>::max();
   std::exception_ptr error;
 
+  const auto claim_cells = [&] {
+    while (!cancelled.load(std::memory_order_relaxed)) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) {
+        return;
+      }
+      try {
+        body(i);
+        completed.fetch_add(1, std::memory_order_relaxed);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+        cancelled.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
   {
     SharedPool& shared = SharedPoolFor(resolved);
     std::lock_guard<std::mutex> turn(shared.fan_out);
     ThreadPool& pool = shared.pool;
-    for (uint32_t t = 0; t < threads; ++t) {
-      pool.Submit([&] {
-        while (!cancelled.load(std::memory_order_relaxed)) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) {
-            return;
-          }
-          try {
-            body(i);
-            completed.fetch_add(1, std::memory_order_relaxed);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            if (i < error_index) {
-              error_index = i;
-              error = std::current_exception();
-            }
-            cancelled.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
+    for (uint32_t t = 1; t < threads; ++t) {
+      pool.Submit(claim_cells);
     }
+    // The caller is the last participant instead of sleeping in Wait().
+    // Its cells are inside the region too, so a nested call from one of
+    // them throws instead of deadlocking on `fan_out`.
+    tls_in_parallel_region = true;
+    claim_cells();
+    tls_in_parallel_region = false;
     pool.Wait();
   }
 

@@ -7,13 +7,15 @@
 //
 //   ThreadPool    — a fixed-size pool with a bounded task queue and
 //                   exception propagation (Wait() rethrows).
-//   ParallelFor   — runs body(0..n) across a pool; cells claim indices
-//                   from an atomic cursor, so load-balancing is dynamic but
-//                   every result lands in its own index slot. The pool is
-//                   not rebuilt per call: one process-wide ThreadPool per
-//                   resolved thread count is created on first use and
-//                   reused, and calls from distinct threads take turns on
-//                   it.
+//   ParallelFor   — runs body(0..n) on the calling thread and the workers
+//                   of a pool; all of them claim indices from an atomic
+//                   cursor, so load-balancing is dynamic but every result
+//                   lands in its own index slot. The pool is not rebuilt
+//                   per call: one process-wide ThreadPool per resolved
+//                   thread count (one worker fewer than the count, since
+//                   the caller is a participant) is created on first use
+//                   and reused, and calls from distinct threads take turns
+//                   on it.
 //   ParallelMap   — ParallelFor that collects one value per index.
 //
 // Determinism contract: a cell may depend only on its index (each sweep
@@ -24,10 +26,11 @@
 // shipped sweeps.
 //
 // ParallelFor with more than one resolved thread must not be nested: calling
-// it from a worker thread throws std::logic_error. A resolved thread count
-// of 1 always runs inline on the calling thread and is allowed anywhere
-// (this is how RunExperiment-internal searches stay usable inside a
-// parallel replication fan-out).
+// it from a cell throws std::logic_error, whether the cell runs on a pool
+// worker or on the thread that started the fan-out. A resolved thread
+// count of 1 always runs inline on the calling thread and is allowed
+// anywhere (this is how RunExperiment-internal searches stay usable inside
+// a parallel replication fan-out).
 #ifndef COPART_COMMON_PARALLEL_H_
 #define COPART_COMMON_PARALLEL_H_
 
@@ -125,8 +128,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// Runs body(i) for i in [0, n) across min(ResolveThreads(), n) workers of
-// the shared pool for ResolveThreads() and blocks until all cells finish.
+// Runs body(i) for i in [0, n) on min(ResolveThreads(), n) threads and
+// blocks until all cells finish: the calling thread claims cells beside
+// that many minus one workers of the shared pool for ResolveThreads().
 // If `stats` is non-null it receives the sweep's cell count and wall/CPU
 // timing; the clocks are not read otherwise. If any body invocation
 // throws, remaining unstarted cells are skipped and the lowest-indexed

@@ -142,6 +142,7 @@ class SimulatedMachine {
   Status TerminateApp(AppId id);
 
   std::vector<AppId> ListApps() const;
+  size_t NumApps() const { return apps_.size(); }
   bool AppExists(AppId id) const;
   const WorkloadDescriptor& Descriptor(AppId id) const;
   uint32_t AppCores(AppId id) const;

@@ -1,14 +1,19 @@
 // Multi-node layer: the node, the fleet front door's placement rules,
-// fault domains, migration, and fleet metrics.
+// fault domains, migration, the live job list against a full ledger scan,
+// and fleet metrics.
 #include "cluster/cluster.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/fleet.h"
 #include "common/fault_injector.h"
+#include "common/rng.h"
 #include "harness/fleet.h"
 #include "obs/metrics_registry.h"
 
@@ -299,6 +304,137 @@ TEST(FleetTest, LatencyCriticalJobKeepsTheGovernorWayFloor) {
   EXPECT_EQ(fleet.counters().invariant_violations, 0u);
 }
 
+// Full-scan reference for the fleet's live state. Returns "" when
+// ResidentJobs() and every node's resident set agree with a scan of the
+// whole job ledger and no job has left a terminal state since the last
+// call; otherwise the first disagreement. `states` carries each job's
+// state from one call to the next.
+std::string LiveStateMismatch(FleetController& fleet,
+                              std::vector<JobState>& states) {
+  const std::vector<FleetJob>& jobs = fleet.jobs();
+  size_t resident = 0;
+  std::vector<std::vector<AppId>> per_node(fleet.NumNodes());
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const FleetJob& job = jobs[j];
+    if (j < states.size() && states[j] != JobState::kResident &&
+        job.state != states[j]) {
+      return "job " + std::to_string(j) + " left " +
+             JobStateName(states[j]) + " for " + JobStateName(job.state);
+    }
+    if (job.state != JobState::kResident) {
+      if (job.node != -1) {
+        return "terminal job " + std::to_string(j) + " holds a node";
+      }
+      continue;
+    }
+    if (job.node < 0 || job.node >= static_cast<int>(fleet.NumNodes())) {
+      return "job " + std::to_string(j) + " resident on no node";
+    }
+    ++resident;
+    per_node[job.node].push_back(job.app);
+  }
+  states.clear();
+  for (const FleetJob& job : jobs) {
+    states.push_back(job.state);
+  }
+  if (fleet.ResidentJobs() != resident) {
+    return "ResidentJobs() is " + std::to_string(fleet.ResidentJobs()) +
+           ", the scan finds " + std::to_string(resident);
+  }
+  for (size_t i = 0; i < fleet.NumNodes(); ++i) {
+    std::vector<AppId>& expected = per_node[i];
+    if (fleet.node_status(i).health != NodeHealth::kAlive) {
+      if (!expected.empty()) {
+        return "jobs resident on down node " + std::to_string(i);
+      }
+      continue;
+    }
+    // The node runs exactly its residents plus its quarantined zombies.
+    const ClusterNode& node = *fleet.node(i);
+    expected.insert(expected.end(), node.quarantined_apps().begin(),
+                    node.quarantined_apps().end());
+    std::vector<AppId> actual = node.machine().ListApps();
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    if (actual != expected) {
+      return "node " + std::to_string(i) + " runs " +
+             std::to_string(actual.size()) + " apps, the scan places " +
+             std::to_string(expected.size());
+    }
+  }
+  return "";
+}
+
+TEST(FleetTest, LiveStateMatchesAFullLedgerScan) {
+  // Three 180-epoch days of a fault-armed fleet that takes every path in
+  // and out of residency: lifetimes, admission and overload shedding,
+  // migrations and rollbacks, background crashes and a daily crash wave.
+  // Arrivals run hot in the first half of each day and cool in the second.
+  constexpr size_t kNodes = 32;
+  constexpr int kDayEpochs = 180;
+  const std::vector<WorkloadDescriptor> catalog = AllTable2Benchmarks();
+  for (uint32_t threads : {1u, 2u}) {
+    FleetParams params = QuietFleetParams();
+    params.parallel.num_threads = threads;
+    params.manager.slo.enabled = true;
+    params.shed_unfairness_threshold = 0.45;
+    params.crash_recovery_epochs = 8;
+    FaultInjector injector(0x11FE57A7E);
+    for (std::string_view point : {fault_points::kNodeCrash,
+                                   fault_points::kNodeSlow,
+                                   fault_points::kNodeBlackout}) {
+      FaultSpec spec;
+      spec.probability = point == fault_points::kNodeCrash ? 0.0005 : 0.003;
+      injector.Arm(point, spec);
+    }
+    params.injector = &injector;
+    FleetController fleet(kNodes, params);
+    Rng rng(0x11FE);
+    std::vector<JobState> states;
+    std::string mismatch;
+    for (int epoch = 0; epoch < 3 * kDayEpochs && mismatch.empty();
+         ++epoch) {
+      const bool hot = epoch % kDayEpochs < kDayEpochs / 2;
+      const uint64_t arrivals = rng.NextUint64(hot ? 7 : 3);
+      for (uint64_t a = 0; a < arrivals && mismatch.empty(); ++a) {
+        FleetJobSpec spec;
+        if (rng.NextUint64(6) == 0) {
+          spec.workload = Memcached();
+          spec.latency_critical = true;
+          spec.offered_rps = 15000.0;
+        } else {
+          spec.workload = catalog[rng.NextUint64(catalog.size())];
+        }
+        spec.cores = rng.NextUint64(2) == 0 ? 2 : 4;
+        spec.lifetime_epochs = 30 + static_cast<int>(rng.NextUint64(91));
+        (void)fleet.Submit(spec);
+        mismatch = LiveStateMismatch(fleet, states);
+      }
+      if (epoch % kDayEpochs == 45) {
+        for (int k = 0; k < 4 && mismatch.empty(); ++k) {
+          fleet.CrashNode(rng.NextUint64(kNodes));
+          mismatch = LiveStateMismatch(fleet, states);
+        }
+      }
+      if (mismatch.empty()) {
+        fleet.RunEpoch();
+        mismatch = LiveStateMismatch(fleet, states);
+      }
+      EXPECT_EQ(mismatch, "") << "threads " << threads << ", epoch " << epoch;
+    }
+    const FleetCounters& c = fleet.counters();
+    EXPECT_EQ(c.invariant_violations, 0u) << fleet.first_violation();
+    EXPECT_EQ(fleet.epoch(), static_cast<uint64_t>(3 * kDayEpochs));
+    // Every transition the live list must follow happened.
+    EXPECT_GT(c.completed, 0u);
+    EXPECT_GT(c.shed_admission, 0u);
+    EXPECT_GT(c.shed_overload, 0u);
+    EXPECT_GT(c.migrations_completed, 0u);
+    EXPECT_GT(c.migration_rollbacks, 0u);
+    EXPECT_GT(c.lost_to_crash, 0u);
+  }
+}
+
 TEST(FleetScenarioTest, RobustnessScenarioMigratesRecoversAndConserves) {
   // The copartctl `fleet` demo at 1/4 scale: diurnal arrivals, background
   // faults, one 10% crash wave. Everything notable must occur at least
@@ -335,8 +471,12 @@ TEST(FleetScenarioTest, SummaryIsBitIdenticalAcrossThreadCounts) {
     config.parallel.num_threads = threads;
     return RunFleetScenario(config).DeterministicSummary();
   };
+  // The caller ticks nodes beside threads - 1 pool workers, so 2, 3 and 4
+  // threads pin one, two and three workers next to it.
   const std::string serial = run(1);
-  EXPECT_EQ(serial, run(4));
+  for (uint32_t threads : {2u, 3u, 4u}) {
+    EXPECT_EQ(serial, run(threads)) << "threads " << threads;
+  }
   EXPECT_FALSE(serial.empty());
 }
 

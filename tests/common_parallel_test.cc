@@ -1,15 +1,17 @@
 // The deterministic parallel engine: ThreadPool semantics (bounded queue,
 // exception propagation), ParallelFor/ParallelMap correctness, nested-use
-// rejection, reuse of the shared workers, and sweep observability.
+// rejection, the calling thread's share of the cells, reuse of the shared
+// workers, and sweep observability.
 #include "common/parallel.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -189,27 +191,120 @@ TEST(ParallelForTest, ParallelNestingIsRejected) {
 }
 
 TEST(ParallelForPoolTest, SequentialCallsReuseTheSameWorkers) {
-  // A joined thread's id may be handed to the next thread, so ids alone
-  // cannot tell reuse from respawn. Thread-local state can: it outlives a
-  // call only on a reused worker.
+  // At 2 threads the caller claims cells beside one pool worker. A joined
+  // thread's id may be handed to the next thread, so ids alone cannot tell
+  // reuse from respawn. Thread-local state can: a count that rises by one
+  // per cell across every call belongs to a thread that was never
+  // replaced.
   static thread_local size_t cells_on_this_thread = 0;
+  struct Tally {
+    size_t cells = 0;
+    size_t first_seen = 0;
+    size_t last_seen = 0;
+  };
   constexpr size_t kCalls = 100;
   constexpr size_t kCells = 8;
+  const std::thread::id caller = std::this_thread::get_id();
   std::mutex mutex;
-  std::set<std::thread::id> workers;
-  size_t most_cells_on_one_thread = 0;
+  std::map<std::thread::id, Tally> tallies;
   for (size_t call = 0; call < kCalls; ++call) {
     ParallelFor(ParallelConfig{.num_threads = 2}, kCells, [&](size_t) {
+      // Long enough that the worker wakes while cells are left to claim.
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
       const size_t seen = ++cells_on_this_thread;
       std::lock_guard<std::mutex> lock(mutex);
-      workers.insert(std::this_thread::get_id());
-      most_cells_on_one_thread = std::max(most_cells_on_one_thread, seen);
+      Tally& tally = tallies[std::this_thread::get_id()];
+      if (tally.cells++ == 0) {
+        tally.first_seen = seen;
+      }
+      tally.last_seen = seen;
     });
   }
-  EXPECT_LE(workers.size(), 2u);
-  EXPECT_EQ(workers.count(std::this_thread::get_id()), 0u);
-  // Two workers ran all kCalls * kCells cells, so one ran at least half.
-  EXPECT_GE(most_cells_on_one_thread, kCalls * kCells / 2);
+  EXPECT_LE(tallies.size(), 2u);
+  EXPECT_EQ(tallies.count(caller), 1u);
+  size_t worker_cells = 0;
+  for (const auto& [id, tally] : tallies) {
+    EXPECT_EQ(tally.last_seen - tally.first_seen + 1, tally.cells);
+    if (id != caller) {
+      worker_cells = tally.cells;
+    }
+  }
+  // The worker took part in more than one call.
+  EXPECT_GT(worker_cells, kCells);
+}
+
+// Runs two cells at 2 threads that wait for each other before `on_cell`,
+// so the caller runs exactly one of them and the pool worker the other.
+// `caller_cell` receives the index of the caller's cell, even when
+// ParallelFor throws.
+void RunTwoCellsSideBySide(const std::function<void(size_t, bool)>& on_cell,
+                           size_t* caller_cell) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  ParallelFor(ParallelConfig{.num_threads = 2}, 2, [&](size_t i) {
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) {
+      std::this_thread::yield();
+    }
+    const bool on_caller = std::this_thread::get_id() == caller;
+    if (on_caller) {
+      *caller_cell = i;
+    }
+    on_cell(i, on_caller);
+  });
+}
+
+TEST(ParallelForPoolTest, NestedCallFromACellOnTheCallingThreadThrows) {
+  // The caller holds the pool's fan-out lock while it runs cells, so a
+  // nested fan-out from one of them must throw rather than deadlock.
+  size_t caller_cell = 2;
+  EXPECT_THROW(RunTwoCellsSideBySide(
+                   [](size_t, bool on_caller) {
+                     if (on_caller) {
+                       ParallelFor(ParallelConfig{.num_threads = 2}, 4,
+                                   [](size_t) {});
+                     }
+                   },
+                   &caller_cell),
+               std::logic_error);
+  EXPECT_LT(caller_cell, 2u);
+  // The region is over: the caller may fan out again.
+  std::atomic<int> ran{0};
+  ParallelFor(ParallelConfig{.num_threads = 2}, 8,
+              [&](size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ParallelForPoolTest, LowestIndexErrorWinsWhenTheCallerRanTheFailingCell) {
+  for (int call = 0; call < 20; ++call) {
+    // Only the caller's cell fails: its error surfaces, once the worker's
+    // cell has finished.
+    size_t caller_cell = 2;
+    try {
+      RunTwoCellsSideBySide(
+          [](size_t i, bool on_caller) {
+            if (on_caller) {
+              throw std::runtime_error("cell " + std::to_string(i));
+            }
+          },
+          &caller_cell);
+      FAIL() << "expected the caller's cell to throw";
+    } catch (const std::runtime_error& error) {
+      ASSERT_LT(caller_cell, 2u);
+      EXPECT_EQ(error.what(), "cell " + std::to_string(caller_cell));
+    }
+    // Both cells fail: cell 0 wins, whichever thread ran it.
+    try {
+      RunTwoCellsSideBySide(
+          [](size_t i, bool) {
+            throw std::runtime_error("cell " + std::to_string(i));
+          },
+          &caller_cell);
+      FAIL() << "expected both cells to throw";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "cell 0") << "caller ran cell " << caller_cell;
+    }
+  }
 }
 
 TEST(ParallelForPoolTest, ReusedPoolKeepsNestingAndErrorContracts) {

@@ -47,7 +47,10 @@
 # outcome points (fleet p99 slowdown, completed migrations, verified
 # rollbacks, crash-wave recovery epochs) are pure functions of the seed
 # and are gated EXACTLY — any drift there is a behavior change, not noise,
-# and must arrive as a deliberate baseline refresh.
+# and must arrive as a deliberate baseline refresh. Its thread-scaling
+# points (the default thread count, node-ticks/sec at 1 thread, and the
+# ratio of the two rates) depend on the host's cores and are printed but
+# not gated.
 #
 # Usage: tools/run_perf_smoke.sh [build-dir]
 #
@@ -78,6 +81,9 @@ SENSING_OVERHEAD_PCT=10
 GOVERNOR_OVERHEAD_PCT=10
 MANAGED_FLOOR=3200000
 WHATIF_SPEEDUP_MIN=10
+# The fleet outcome points gated on exact equality; any other fleet point
+# but the throughput band is reported only.
+FLEET_EXACT_POINTS='^fleet_(p99_slowdown|migrations|migration_rollbacks|recovery_epochs)$'
 
 for baseline in "$BASELINE" "$SERVE_BASELINE" "$GOVERNOR_BASELINE" \
     "$FLEET_BASELINE"; do
@@ -279,7 +285,7 @@ check_fleet_run() {  # check_fleet_run FILE LABEL
         echo "run_perf_smoke: ok   [$label] point=$point" \
           "value=$now (baseline=$base, floor=$floor)"
       fi
-    else
+    elif [[ "$point" =~ $FLEET_EXACT_POINTS ]]; then
       # Deterministic outcome: exact match, both directions.
       if [[ "$now" != "$base" ]]; then
         echo "run_perf_smoke: FAIL [$label] point=$point" \
@@ -290,6 +296,10 @@ check_fleet_run() {  # check_fleet_run FILE LABEL
         echo "run_perf_smoke: ok   [$label] point=$point" \
           "value=$now (exact match)"
       fi
+    else
+      # Host-dependent thread scaling: reported, never gated.
+      echo "run_perf_smoke: info [$label] point=$point" \
+        "value=$now (baseline=$base, not gated)"
     fi
   done < <(grep '"point"' "$FLEET_BASELINE")
 }
