@@ -200,12 +200,6 @@ PartitionDecision CoPartPartitionPolicy::Allocate(
   PartitionDecision decision = MakePerAppDecision(std::move(next));
   decision.used_neighbor = used_neighbor;
   decision.retries = retry_count_;
-  decision.llc_classes.reserve(infos_.size());
-  decision.mba_classes.reserve(infos_.size());
-  for (const MatchAppInfo& info : infos_) {
-    decision.llc_classes.push_back(info.llc_class);
-    decision.mba_classes.push_back(info.mba_class);
-  }
   return decision;
 }
 

@@ -144,10 +144,7 @@ PartitionDecision LfocPolicy::Allocate(
                    pool.num_ways));
   if (light_ways + stream_ways + sens_reserve > pool.num_ways ||
       side_slots + sens_reserve > slot_budget) {
-    PartitionDecision fallback = FairShare(pool, n);
-    fallback.llc_classes.assign(n, ResourceClass::kMaintain);
-    fallback.mba_classes.assign(n, ResourceClass::kMaintain);
-    return fallback;
+    return FairShare(pool, n);
   }
   uint32_t rest_ways = pool.num_ways - light_ways - stream_ways;
 
@@ -264,21 +261,6 @@ PartitionDecision LfocPolicy::Allocate(
         .mba_level = MbaLevel::FromPercentChecked(stream_mba_percent)});
   }
   decision.state = SystemState(pool, std::move(slots));
-
-  // Telemetry classes: sensitive apps demand cache; streaming apps demand
-  // bandwidth but supply cache; light apps supply both.
-  decision.llc_classes.resize(n);
-  decision.mba_classes.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    decision.llc_classes[i] = classes_[i] == AppClass::kSensitive
-                                  ? ResourceClass::kDemand
-                                  : ResourceClass::kSupply;
-    decision.mba_classes[i] = classes_[i] == AppClass::kStreaming
-                                  ? ResourceClass::kDemand
-                              : classes_[i] == AppClass::kLight
-                                  ? ResourceClass::kSupply
-                                  : ResourceClass::kMaintain;
-  }
   return decision;
 }
 

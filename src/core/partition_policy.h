@@ -79,9 +79,6 @@ struct PartitionDecision {
   SystemState state;
   std::vector<uint32_t> app_slot;
   std::vector<uint32_t> prefetch_percent;
-  // Telemetry: the per-app classes the decision was derived from.
-  std::vector<ResourceClass> llc_classes;
-  std::vector<ResourceClass> mba_classes;
   // Exploration bookkeeping: true ends exploration (the driver parks in
   // idle). A converged opening decision (StartExploration) is how a static
   // policy skips exploration altogether. used_neighbor/retries feed trace

@@ -1187,27 +1187,6 @@ void ResourceManager::TickExploration() {
   audit_trigger_ =
       decision.used_neighbor ? "exploration_neighbor" : "exploration_match";
   (void)ActuateDecision(decision);
-
-  if (observer_) {
-    ManagerTickRecord record;
-    record.time = resctrl_->machine().now();
-    record.phase = phase_;
-    record.state = state_;
-    record.exploration_us = last_exploration_us_;
-    record.used_neighbor_state = decision.used_neighbor;
-    record.consecutive_actuation_failures = consecutive_actuation_failures_;
-    for (size_t i = 0; i < n; ++i) {
-      record.slowdown_estimates.push_back(signals[i].slowdown);
-      record.llc_classes.push_back(i < decision.llc_classes.size()
-                                       ? decision.llc_classes[i]
-                                       : policy_->LlcClassOf(i));
-      record.mba_classes.push_back(i < decision.mba_classes.size()
-                                       ? decision.mba_classes[i]
-                                       : policy_->MbaClassOf(i));
-      record.quarantined.push_back(apps_[i].quarantined);
-    }
-    observer_(record);
-  }
 }
 
 void ResourceManager::EnterIdle() {
@@ -1305,8 +1284,7 @@ void ResourceManager::EnterDegraded() {
   }
   phase_ = Phase::kDegraded;
   ++degraded_entries_;
-  EmitTransitionRecord();  // Records the failure streak that tripped it.
-  EmitPhaseAudit("degraded_enter");
+  EmitPhaseAudit("degraded_enter");  // Records the streak that tripped it.
   degraded_success_streak_ = 0;
   consecutive_actuation_failures_ = 0;
   pending_plan_.reset();
@@ -1351,7 +1329,6 @@ void ResourceManager::TickDegraded() {
       ++degraded_recoveries_;
       backoff_.Reset();
       StartAdaptation();
-      EmitTransitionRecord();  // Phase after recovery (profiling/degraded).
       EmitPhaseAudit("degraded_recovery");
     }
     return;
@@ -1359,21 +1336,6 @@ void ResourceManager::TickDegraded() {
   ++actuation_failures_;
   degraded_success_streak_ = 0;
   backoff_ticks_remaining_ = DelayTicks(backoff_.NextDelay());
-}
-
-void ResourceManager::EmitTransitionRecord() {
-  if (!observer_) {
-    return;
-  }
-  ManagerTickRecord record;
-  record.time = resctrl_->machine().now();
-  record.phase = phase_;
-  record.state = state_;
-  record.consecutive_actuation_failures = consecutive_actuation_failures_;
-  for (const ManagedApp& app : apps_) {
-    record.quarantined.push_back(app.quarantined);
-  }
-  observer_(record);
 }
 
 void ResourceManager::EmitPhaseAudit(const char* detail) {

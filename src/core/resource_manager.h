@@ -81,8 +81,6 @@
 
 namespace copart {
 
-class ResourceManager;
-
 // Control-loop phase. Namespace-scoped so telemetry consumers can name it
 // without dragging in the manager; ResourceManager::Phase aliases it.
 enum class ManagerPhase { kProfiling, kExploration, kIdle, kDegraded };
@@ -92,27 +90,6 @@ enum class ManagerPhase { kProfiling, kExploration, kIdle, kDegraded };
 // unfairness trend, kBackoff while parked on the best state waiting to
 // re-probe.
 enum class TrendState { kOff, kOn, kBackoff };
-
-// Per-control-period diagnostic record. An installed observer receives one
-// after every exploration tick and on every degraded-mode transition — the
-// hook dashboards and tests use to watch the controller think (see
-// tests/core_telemetry_test.cc).
-struct ManagerTickRecord {
-  double time = 0.0;
-  ManagerPhase phase = ManagerPhase::kExploration;
-  SystemState state;  // State applied for the NEXT period.
-  std::vector<double> slowdown_estimates;
-  std::vector<ResourceClass> llc_classes;
-  std::vector<ResourceClass> mba_classes;
-  double exploration_us = 0.0;
-  bool used_neighbor_state = false;
-  // Hardening telemetry: per-app quarantine flags (parallel to the
-  // slowdown/class vectors) and the actuation-failure streak at emission.
-  std::vector<bool> quarantined;
-  int consecutive_actuation_failures = 0;
-};
-
-using ManagerObserver = std::function<void(const ManagerTickRecord&)>;
 
 class ResourceManager {
  public:
@@ -225,11 +202,6 @@ class ResourceManager {
   uint64_t degraded_entries() const { return degraded_entries_; }
   uint64_t degraded_recoveries() const { return degraded_recoveries_; }
   uint64_t quarantines() const { return quarantines_; }
-
-  // Installs (or clears, with nullptr) the telemetry observer.
-  void SetObserver(ManagerObserver observer) {
-    observer_ = std::move(observer);
-  }
 
   // Attaches (or clears, with nullptr) the observability bundle: spans
   // around the tick phases (PMC sample → classify → solve → apply), one
@@ -393,8 +365,6 @@ class ResourceManager {
   // Converts a backoff delay in periods to whole ticks (at least 1).
   int DelayTicks(double periods) const;
 
-  void EmitTransitionRecord();
-
   // Appends a kPhaseTransition / kQuarantineChange audit record (no-ops
   // without an attached audit log).
   void EmitPhaseAudit(const char* detail);
@@ -474,7 +444,6 @@ class ResourceManager {
   uint64_t adaptations_started_ = 0;
   double last_exploration_us_ = 0.0;
   RunningStats exploration_time_stats_;
-  ManagerObserver observer_;
 
   // Observability (DESIGN.md §8). obs_ is not owned; audit_trigger_ names
   // the decision path that produced the plan currently being actuated, and

@@ -1,5 +1,5 @@
 // Minimal RFC-4180-style CSV output for experiment results (plotting-ready
-// dumps from the benchmark binaries and the telemetry observer).
+// dumps from the benchmark binaries and the harnesses).
 #ifndef COPART_HARNESS_CSV_WRITER_H_
 #define COPART_HARNESS_CSV_WRITER_H_
 

@@ -165,6 +165,8 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
     double slo_ms = 0.0;
     std::unique_ptr<LcServer> server;
     size_t violations = 0;
+    // Admitted to the SLO governor (CoPart mode, admission succeeded).
+    bool governed = false;
   };
   const Rng root(config.seed);
   std::vector<LcRuntime> lcs;
@@ -212,79 +214,49 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
         machine.Descriptor(app), machine.AppCores(app)));
   }
 
-  const uint32_t total_ways = config.machine.llc.num_ways;
-  const size_t total_apps = lcs.size() + batch.size();
-
-  // Static per-mode allocation state for the sampled series.
-  uint32_t static_lc_ways = total_ways;
-  uint32_t static_batch_mba = MbaLevel::kMax;
-
-  std::unique_ptr<ResourceManager> manager;
-  if (config.mode == ServeMode::kCopartSlo) {
-    ResourceManagerParams params = config.copart_params;
-    params.control_period_sec = config.control_period_sec;
-    params.slo.enabled = true;
-    manager = std::make_unique<ResourceManager>(&resctrl, &monitor, params);
-    manager->SetObservability(config.obs);
-    for (size_t i = 0; i < lcs.size(); ++i) {
-      const ServeLcSpec& spec = config.lc_apps[i];
-      LcAppModel model;
-      model.slo_p95_ms = lcs[i].slo_ms;
-      model.instructions_per_request = lcs[i].ipr;
-      if (spec.whatif_capability) {
-        auto table = std::make_shared<const std::vector<double>>(
-            WhatIfCapabilityTable(config, i));
-        model.capability_ips = [table](uint32_t ways) {
-          const size_t index =
-              std::min<size_t>(ways, table->size() - 1);
-          return index == 0 ? 0.0 : (*table)[index];
-        };
-      } else {
-        model.capability_ips = [desc = spec.workload, cores = spec.cores,
-                                mc = config.machine](uint32_t ways) {
-          return PredictLcCapabilityIps(desc, cores, ways, mc);
-        };
-      }
-      model.initial_offered_rps = ArrivalRateAt(spec.arrival, 0.0);
-      Status status = manager->SetLatencyCriticalApp(lcs[i].id, model);
-      CHECK(status.ok()) << status.ToString();
-    }
-    for (AppId app : batch) {
-      Status status = manager->AddApp(app);
-      CHECK(status.ok()) << status.ToString();
-    }
-  } else if (config.mode == ServeMode::kEqualShare) {
-    // One static equal split of the whole machine across every app, LC and
-    // batch alike — the paper's EqualShare baseline.
-    const ResourcePool pool{.first_way = 0,
-                            .num_ways = total_ways,
-                            .max_mba_percent = MbaLevel::kMax};
-    const SystemState eq = SystemState::EqualShareThrottled(pool, total_apps);
-    size_t slot = 0;
-    auto install = [&](AppId app) {
-      Result<ResctrlGroupId> group =
-          resctrl.CreateGroup("eq_" + std::to_string(app.value()));
-      CHECK(group.ok()) << group.status().ToString();
-      Status status = resctrl.AssignApp(*group, app);
-      CHECK(status.ok()) << status.ToString();
-      status = resctrl.SetCacheMask(*group, eq.WayMaskBits(slot));
-      CHECK(status.ok()) << status.ToString();
-      status = resctrl.SetMbaPercent(*group,
-                                     eq.allocation(slot).mba_level.percent());
-      CHECK(status.ok()) << status.ToString();
-      ++slot;
-    };
-    for (const LcRuntime& lc : lcs) {
-      install(lc.id);
-    }
-    for (AppId app : batch) {
-      install(app);
-    }
-    static_lc_ways =
-        static_cast<uint32_t>(std::popcount(eq.WayMaskBits(0)));
-    static_batch_mba = eq.allocation(total_apps - 1).mba_level.percent();
+  // One ResourceManager for every mode. CoPart-SLO gives each LC app an
+  // SLO-governed slice; the static modes run the "eq" or "nopart" policy and
+  // admit the LC apps first, like batch apps, so EqualShare's slot order is
+  // LC then batch. A refused admission leaves the app running unmanaged in
+  // the default group.
+  const bool slo = config.mode == ServeMode::kCopartSlo;
+  ResourceManagerParams params = config.copart_params;
+  params.control_period_sec = config.control_period_sec;
+  params.slo.enabled = slo;
+  if (!slo) {
+    params.partition_policy =
+        config.mode == ServeMode::kEqualShare ? "eq" : "nopart";
   }
-  // kNoPart: every app stays in the default CLOS (all ways, MBA 100).
+  ResourceManager manager(&resctrl, &monitor, params);
+  manager.SetObservability(config.obs);
+  for (size_t i = 0; i < lcs.size(); ++i) {
+    if (!slo) {
+      (void)manager.AddApp(lcs[i].id);
+      continue;
+    }
+    const ServeLcSpec& spec = config.lc_apps[i];
+    LcAppModel model;
+    model.slo_p95_ms = lcs[i].slo_ms;
+    model.instructions_per_request = lcs[i].ipr;
+    if (spec.whatif_capability) {
+      auto table = std::make_shared<const std::vector<double>>(
+          WhatIfCapabilityTable(config, i));
+      model.capability_ips = [table](uint32_t ways) {
+        const size_t index = std::min<size_t>(ways, table->size() - 1);
+        return index == 0 ? 0.0 : (*table)[index];
+      };
+    } else {
+      model.capability_ips = [desc = spec.workload, cores = spec.cores,
+                              mc = config.machine](uint32_t ways) {
+        return PredictLcCapabilityIps(desc, cores, ways, mc);
+      };
+    }
+    model.initial_offered_rps = ArrivalRateAt(spec.arrival, 0.0);
+    lcs[i].governed = manager.SetLatencyCriticalApp(lcs[i].id, model).ok();
+  }
+  for (AppId app : batch) {
+    (void)manager.AddApp(app);
+  }
 
   ServeScenarioResult result;
   result.mode = config.mode;
@@ -315,11 +287,11 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
       if (stats.p95_ms > lcs[i].slo_ms || stalled) {
         ++lcs[i].violations;
       }
-      if (manager != nullptr) {
+      if (lcs[i].governed) {
         // Close the governor's learning loop: the decision that shaped this
         // epoch is still the manager's current plan, so learned governors
         // can attribute the measured p95 to it. Threshold ignores this.
-        manager->ReportLcOutcome(
+        manager.ReportLcOutcome(
             lcs[i].id, stats.p95_ms, stalled,
             config.lc_apps[i].workload.PhaseIndexAt(machine.now()));
       }
@@ -336,15 +308,16 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
     sample.p95_ms = primary.p95_ms;
     sample.p99_ms = primary.p99_ms;
     sample.queue_depth = primary.queue_depth_end;
-    if (manager != nullptr) {
-      sample.lc_ways = manager->LcWays(lcs[0].id);
-      sample.batch_max_mba = manager->pool().max_mba_percent;
-      sample.phase = ResourceManager::PhaseName(manager->phase());
-    } else {
-      sample.lc_ways = static_lc_ways;
-      sample.batch_max_mba = static_batch_mba;
-      sample.phase = ServeModeName(config.mode);
+    sample.lc_ways = static_cast<uint32_t>(std::popcount(
+        machine.ClosWayMask(machine.AppClos(lcs[0].id)).bits()));
+    if (slo) {
+      sample.batch_max_mba = manager.pool().max_mba_percent;
+    } else if (!batch.empty()) {
+      sample.batch_max_mba =
+          machine.ClosMbaLevel(machine.AppClos(batch.back())).percent();
     }
+    sample.phase = slo ? ResourceManager::PhaseName(manager.phase())
+                       : ServeModeName(config.mode);
     if (!batch.empty()) {
       std::vector<double> slowdowns;
       slowdowns.reserve(batch.size());
@@ -363,13 +336,11 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
     for (size_t i = 0; i < lcs.size(); ++i) {
       const double rate = ArrivalRateAt(config.lc_apps[i].arrival, now);
       machine.SetAppRequiredIps(lcs[i].id, rate * lcs[i].ipr);
-      if (manager != nullptr) {
-        manager->SetLcOfferedLoad(lcs[i].id, rate);
+      if (lcs[i].governed) {
+        manager.SetLcOfferedLoad(lcs[i].id, rate);
       }
     }
-    if (manager != nullptr) {
-      manager->Tick();
-    }
+    manager.Tick();
   }
 
   for (const LcRuntime& lc : lcs) {
@@ -403,26 +374,23 @@ ServeScenarioResult RunServeScenario(const ServeScenarioConfig& config) {
     }
     result.run_batch_unfairness = Unfairness(run_slowdowns);
   }
-  result.copart_adaptations =
-      manager != nullptr ? manager->adaptations_started() : 0;
-  result.slo_resizes = manager != nullptr ? manager->slo_resizes() : 0;
+  result.copart_adaptations = slo ? manager.adaptations_started() : 0;
+  result.slo_resizes = manager.slo_resizes();
 
-  if (manager != nullptr) {
-    manager->ExportMetrics(ObsMetrics(config.obs));
-    if (MetricsRegistry* metrics = ObsMetrics(config.obs)) {
-      for (const ServeLcResult& r : result.lc) {
-        const std::string prefix = "copart.serve." + r.name;
-        metrics->GetCounter(prefix + ".arrivals")->Increment(r.arrivals);
-        metrics->GetCounter(prefix + ".completions")->Increment(r.completions);
-        metrics->GetCounter(prefix + ".drops")->Increment(r.drops);
-        metrics->GetGauge(prefix + ".queue_depth_end")
-            ->Set(static_cast<double>(r.queue_depth_end));
-        metrics->GetGauge(prefix + ".p50_ms")->Set(r.p50_ms);
-        metrics->GetGauge(prefix + ".p95_ms")->Set(r.p95_ms);
-        metrics->GetGauge(prefix + ".p99_ms")->Set(r.p99_ms);
-        metrics->GetGauge(prefix + ".slo_violation_fraction")
-            ->Set(r.slo_violation_fraction);
-      }
+  manager.ExportMetrics(ObsMetrics(config.obs));
+  if (MetricsRegistry* metrics = ObsMetrics(config.obs)) {
+    for (const ServeLcResult& r : result.lc) {
+      const std::string prefix = "copart.serve." + r.name;
+      metrics->GetCounter(prefix + ".arrivals")->Increment(r.arrivals);
+      metrics->GetCounter(prefix + ".completions")->Increment(r.completions);
+      metrics->GetCounter(prefix + ".drops")->Increment(r.drops);
+      metrics->GetGauge(prefix + ".queue_depth_end")
+          ->Set(static_cast<double>(r.queue_depth_end));
+      metrics->GetGauge(prefix + ".p50_ms")->Set(r.p50_ms);
+      metrics->GetGauge(prefix + ".p95_ms")->Set(r.p95_ms);
+      metrics->GetGauge(prefix + ".p99_ms")->Set(r.p99_ms);
+      metrics->GetGauge(prefix + ".slo_violation_fraction")
+          ->Set(r.slo_violation_fraction);
     }
   }
   return result;
@@ -500,6 +468,31 @@ ServeScenarioConfig Section63ServeScenario() {
   // Batch MBA protection engages during the burst (§6.3: CoPart throttles
   // the batch slice while memcached rides the load step).
   config.copart_params.slo.protect_rps_threshold = 150000.0;
+  config.copart_params.slo.batch_mba_protect_percent = 50;
+  return config;
+}
+
+ServeScenarioConfig Fig15ServeScenario() {
+  ServeScenarioConfig config;
+  config.duration_sec = 400.0;
+  config.control_period_sec = 0.5;
+  config.seed = 42;
+
+  ServeLcSpec lc;
+  lc.workload = Memcached();
+  lc.cores = 8;
+  lc.arrival.kind = ArrivalKind::kBurst;
+  lc.arrival.base_rate_rps = 75000.0;
+  // Steps at t = 99.4 s and t = 299.4 s, written as differences of the
+  // step times so the phase boundaries fall exactly on them.
+  lc.arrival.burst_phases = {
+      {99.4, 1.0}, {299.4 - 99.4, 2.0}, {400.0 - 299.4, 1.0}};
+  config.lc_apps.push_back(std::move(lc));
+
+  config.batch_apps.push_back(ServeBatchSpec{WordCount(), 4});
+  config.batch_apps.push_back(ServeBatchSpec{Kmeans(), 4});
+
+  config.copart_params.slo.protect_rps_threshold = 100000.0;
   config.copart_params.slo.batch_mba_protect_percent = 50;
   return config;
 }

@@ -4,15 +4,21 @@
 // a partitioning policy: each control period the harness feeds every LC
 // app's offered load to the policy, advances the machine one epoch, and
 // serves the epoch's arrivals at the service rate implied by the app's
-// effective IPS under its current CLOS mask + MBA level. Three modes:
+// effective IPS under its current CLOS mask + MBA level. Every mode runs
+// one ResourceManager, ticked once per control period:
 //
-//   kCopartSlo   — ResourceManager with params.slo.enabled: the SLO
-//                  governor sizes each LC slice (ways first, then batch
-//                  MBA protection) and CoPart runs fairness allocation for
-//                  the batch apps over the remaining pool.
-//   kEqualShare  — one static equal split of the whole machine across all
-//                  apps (LC and batch alike), MBA throttled evenly.
-//   kNoPart      — no partitioning at all: every app in the default CLOS.
+//   kCopartSlo   — params.slo.enabled: the SLO governor sizes each LC
+//                  slice (ways first, then batch MBA protection) and CoPart
+//                  runs fairness allocation for the batch apps over the
+//                  remaining pool.
+//   kEqualShare  — the "eq" policy: one static equal split of the whole
+//                  machine across all apps (LC apps first, then batch), MBA
+//                  throttled evenly.
+//   kNoPart      — the "nopart" policy: one shared full-pool group at MBA
+//                  100, bit-identical to every app in CLOS 0.
+//
+// The static modes admit the LC apps like batch apps. An app whose
+// admission is refused keeps running unmanaged in the default group.
 //
 // Everything is seed-deterministic: LC server streams are forked from the
 // scenario seed by LC index, and RunServeComparison's per-mode fan-out
@@ -73,9 +79,11 @@ struct ServeScenarioConfig {
   std::vector<ServeLcSpec> lc_apps;     // 1-2 surrogates.
   std::vector<ServeBatchSpec> batch_apps;
   ServeMode mode = ServeMode::kCopartSlo;
-  ResourceManagerParams copart_params;  // slo.enabled forced on in CoPart mode.
-  // Optional observability bundle (CoPart mode only; the manager's audit
-  // records and the serve metrics land here). Not owned; null = off.
+  // slo.enabled is forced on in CoPart mode and off in the static modes,
+  // which also override partition_policy.
+  ResourceManagerParams copart_params;
+  // Optional observability bundle: the manager's audit records and the
+  // serve metrics land here. Not owned; null = off.
   Observability* obs = nullptr;
 };
 
@@ -86,7 +94,9 @@ struct ServeSample {
   double p95_ms = 0.0;        // This epoch's completions (0 when none).
   double p99_ms = 0.0;
   uint64_t queue_depth = 0;
-  uint32_t lc_ways = 0;
+  uint32_t lc_ways = 0;       // Ways in the LC app's CLOS mask.
+  // The batch pool's MBA ceiling under SLO; the batch apps' CLOS MBA level
+  // in the static modes.
   uint32_t batch_max_mba = 100;
   double batch_unfairness = 0.0;
   std::string phase;          // CoPart phase name, or the mode name.
@@ -118,14 +128,14 @@ struct ServeScenarioResult {
   // Whole-run batch unfairness (Eq. 1/Eq. 2 over run-average IPS) — directly
   // comparable with harness/experiment.h's ExperimentResult::unfairness.
   double run_batch_unfairness = 0.0;
-  uint64_t copart_adaptations = 0;
+  uint64_t copart_adaptations = 0;  // 0 in the static modes.
   uint64_t slo_resizes = 0;
 };
 
 // Predicted LC service capacity (IPS) with `ways` LLC ways at MBA 100,
 // using the same CPI model as the machine — what a Heracles-style manager
-// would fit from its own profiling. Shared by the serve harness, the SLO
-// governor models it builds, and the §6.3 case study.
+// would fit from its own profiling. Shared by the serve harness and the
+// SLO governor models it builds.
 double PredictLcCapabilityIps(const WorkloadDescriptor& lc, uint32_t lc_cores,
                               uint32_t ways, const MachineConfig& machine);
 
@@ -158,6 +168,11 @@ Status WriteServeCsv(const ServeScenarioResult& result,
 // trace whose peak exceeds what EqualShare and NoPart can serve within the
 // 1 ms p95 SLO but stays within the SLO governor's reach.
 ServeScenarioConfig Section63ServeScenario();
+
+// The Fig. 15 case study (§6.3): the same three apps for 400 s at a 0.5 s
+// control period. The offered load steps from 75 to 150 krps at t = 99.4 s
+// and back at t = 299.4 s; batch MBA protection engages above 100 krps.
+ServeScenarioConfig Fig15ServeScenario();
 
 }  // namespace copart
 

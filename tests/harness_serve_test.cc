@@ -20,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
 #include "common/parallel.h"
 #include "harness/experiment.h"
 #include "harness/mix.h"
+#include "resctrl/resctrl.h"
 #include "workload/workload.h"
 
 namespace copart {
@@ -97,6 +99,40 @@ TEST(HarnessServeTest, BatchUnfairnessStaysNearBatchOnlyCopart) {
   EXPECT_LE(std::abs(delta), 0.10)
       << "serve " << Comparison().copart.run_batch_unfairness
       << " vs batch-only " << batch_only.unfairness;
+}
+
+TEST(HarnessServeTest, EveryModeSurvivesAdmissionAndActuationFaults) {
+  // The first group creation fails (the LC app's admission in CoPart and
+  // EqualShare, NoPart's shared group), and one in five schemata writes and
+  // app bindings fails. Every mode runs through the manager, so a refused
+  // admission leaves the app unmanaged and a failed write is retried.
+  for (ServeMode mode : {ServeMode::kCopartSlo, ServeMode::kEqualShare,
+                         ServeMode::kNoPart}) {
+    ServeScenarioConfig config = Section63ServeScenario();
+    config.duration_sec = 10.0;
+    config.mode = mode;
+    const ServeScenarioResult clean = RunServeScenario(config);
+
+    FaultInjector injector(7);
+    FaultSpec first_create;
+    first_create.one_shot_queries = {0};
+    injector.Arm(fault_points::kResctrlCreateGroup, first_create);
+    FaultSpec storm;
+    storm.probability = 0.2;
+    injector.Arm(fault_points::kResctrlSetL3, storm);
+    injector.Arm(fault_points::kResctrlAssignApp, storm);
+    config.machine.fault_injector = &injector;
+    const ServeScenarioResult faulty = RunServeScenario(config);
+
+    EXPECT_EQ(injector.PointFailures(fault_points::kResctrlCreateGroup), 1u)
+        << ServeModeName(mode);
+    EXPECT_EQ(faulty.samples.size(), clean.samples.size())
+        << ServeModeName(mode);
+    EXPECT_EQ(faulty.lc.front().arrivals, clean.lc.front().arrivals)
+        << ServeModeName(mode);
+    EXPECT_TRUE(std::isfinite(faulty.run_batch_unfairness))
+        << ServeModeName(mode);
+  }
 }
 
 TEST(HarnessServeTest, ComparisonMatchesGoldenFile) {

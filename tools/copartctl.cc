@@ -48,7 +48,6 @@
 
 #include "cluster/fleet.h"
 #include "common/parallel.h"
-#include "harness/case_study.h"
 #include "harness/chaos.h"
 #include "harness/experiment.h"
 #include "harness/fleet.h"
@@ -268,21 +267,23 @@ int CmdOracle(const std::string& mix_name, size_t count,
 }
 
 int CmdCaseStudy(bool use_eq) {
-  CaseStudyConfig config;
-  config.use_copart = !use_eq;
-  const CaseStudyResult result = RunCaseStudy(config);
+  ServeScenarioConfig config = Fig15ServeScenario();
+  if (use_eq) {
+    config.mode = ServeMode::kEqualShare;
+  }
+  const ServeScenarioResult result = RunServeScenario(config);
+  const ServeLcResult& lc = result.lc.front();
   std::printf("manager: %s\n",
               use_eq ? "EqualShare (static split, no SLO awareness)"
                      : "CoPart (SLO mode)");
   std::printf("mean batch unfairness: %.4f\n", result.mean_batch_unfairness);
   std::printf("LC run p95: %.3f ms (%llu/%llu requests completed, "
               "%llu dropped)\n",
-              result.lc_run_p95_ms,
-              static_cast<unsigned long long>(result.lc_completions),
-              static_cast<unsigned long long>(result.lc_arrivals),
-              static_cast<unsigned long long>(result.lc_drops));
+              lc.p95_ms, static_cast<unsigned long long>(lc.completions),
+              static_cast<unsigned long long>(lc.arrivals),
+              static_cast<unsigned long long>(lc.drops));
   std::printf("p95 SLO violations: %.1f%% of samples\n",
-              100.0 * result.slo_violation_fraction);
+              100.0 * lc.slo_violation_fraction);
   if (!use_eq) {
     std::printf("re-adaptations: %llu\n",
                 static_cast<unsigned long long>(result.copart_adaptations));
@@ -439,9 +440,9 @@ int CmdTrace(const std::string& target, size_t count, double duration,
   Observability obs;
   if (target == "casestudy") {
     // The §6.3 case study with CoPart managing the batch slice.
-    CaseStudyConfig config;
+    ServeScenarioConfig config = Fig15ServeScenario();
     config.obs = &obs;
-    const CaseStudyResult result = RunCaseStudy(config);
+    const ServeScenarioResult result = RunServeScenario(config);
     std::printf("case study (CoPart batch manager), observability on:\n");
     std::printf("mean batch unfairness: %.4f   re-adaptations: %llu\n",
                 result.mean_batch_unfairness,
