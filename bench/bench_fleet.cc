@@ -12,7 +12,9 @@
 // default thread count, the 1-thread rate and the ratio of the two rates
 // (how the fleet scales with threads on the host that runs the bench).
 // Those points depend on the host's cores, so the smoke script prints them
-// without gating them.
+// without gating them. So does it print the canonical scenario's migration
+// rollback ratio (rollbacks over planned moves), the what-if scorer's
+// calibration.
 //
 // Flags:
 //   --json=PATH         where to write the JSON report
@@ -103,13 +105,18 @@ int Run(const std::string& json_path, double min_seconds) {
       node_ticks_per_sec_1_thread, thread_scaling);
 
   const FleetScenarioResult r = RunFleetScenario(CanonicalScenario());
+  const double rollback_ratio =
+      r.counters.migrations_planned > 0
+          ? static_cast<double>(r.counters.migration_rollbacks) /
+                static_cast<double>(r.counters.migrations_planned)
+          : 0.0;
   std::printf(
       "fleet: p99_slowdown=%.4f migrations=%llu rollbacks=%llu "
-      "recovery_epochs=%d violations=%llu\n",
+      "rollback_ratio=%.4f recovery_epochs=%d violations=%llu\n",
       r.fleet_p99_slowdown,
       static_cast<unsigned long long>(r.counters.migrations_completed),
       static_cast<unsigned long long>(r.counters.migration_rollbacks),
-      r.recovery_epochs,
+      rollback_ratio, r.recovery_epochs,
       static_cast<unsigned long long>(r.counters.invariant_violations));
   if (r.counters.invariant_violations > 0) {
     std::fprintf(stderr, "fleet: invariant violations in the canonical "
@@ -151,8 +158,12 @@ int Run(const std::string& json_path, double min_seconds) {
                "\"value\": %.1f},\n",
                node_ticks_per_sec_1_thread);
   std::fprintf(out,
-               "    {\"point\": \"fleet_thread_scaling\", \"value\": %.3f}\n",
+               "    {\"point\": \"fleet_thread_scaling\", \"value\": %.3f},\n",
                thread_scaling);
+  std::fprintf(out,
+               "    {\"point\": \"fleet_migration_rollback_ratio\", "
+               "\"value\": %.4f}\n",
+               rollback_ratio);
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("fleet: wrote %s\n", json_path.c_str());

@@ -74,10 +74,11 @@ int main() {
               ResourceManager::PhaseName(manager.phase()));
   PrintContainers(runtime);
 
-  // One container finishes; its cores and ways return to the pool.
+  // One container finishes; its cores and ways return to the pool. Stop it
+  // before the manager lets go, so the removal is the only change it sees.
   std::printf("\nstopping container 'cg'...\n");
-  CHECK(manager.RemoveApp(cg->app).ok());
   CHECK(runtime.Stop("cg").ok());
+  CHECK(manager.RemoveApp(cg->app).ok());
   run(30.0);
   std::printf("after 30 more seconds (CoPart %s):\n",
               ResourceManager::PhaseName(manager.phase()));

@@ -63,14 +63,14 @@ void ClusterNode::RollbackLaunch(AppId app) {
 }
 
 Status ClusterNode::Evict(AppId app) {
-  Status removed = manager_.RemoveApp(app);
-  // LC apps are not in the batch set; their CLOS is reaped on the next tick
-  // once the machine-level terminate below lands. Any other error is real
-  // and aborts the eviction.
-  if (!removed.ok() && removed.code() != StatusCode::kNotFound) {
-    return removed;
-  }
-  return machine_.TerminateApp(app);
+  // Terminate first, so the manager's removal sees the machine's final app
+  // generation and the departure starts one adaptation, not two. A failed
+  // terminate leaves the manager untouched.
+  RETURN_IF_ERROR(machine_.TerminateApp(app));
+  // An LC app is not in the batch set (kNotFound here); the manager reaps
+  // its CLOS on its next tick, as it would any app that died under it.
+  (void)manager_.RemoveApp(app);
+  return Status::Ok();
 }
 
 std::vector<WorkloadDescriptor> ClusterNode::ResidentWorkloads() const {

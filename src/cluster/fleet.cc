@@ -498,6 +498,16 @@ void FleetController::VerifyMigrations() {
            params_.migrate_unfairness_threshold,
            0.8 * job.source_unfairness_at_plan});
       fail = ts.unfairness > allowed;
+      if (MetricsRegistry* metrics = ObsMetrics(params_.obs)) {
+        // Calibration data for the what-if scorer: measured minus
+        // predicted target unfairness at the verdict.
+        static constexpr double kErrorEdges[] = {-0.2, -0.1, -0.05, 0.0,
+                                                 0.05, 0.1,  0.2,   0.5};
+        metrics
+            ->GetHistogram("copart.fleet.migration.prediction_error",
+                           kErrorEdges)
+            ->Observe(ts.unfairness - job.predicted_unfairness);
+      }
     }
     if (!fail) {
       AuditMigration(j, job.migration_source, target, "migration_verify_ok",

@@ -285,6 +285,10 @@ class FleetController {
   void UpdateHealth();
   void CompleteJobs();
   void ShedOverloadedNodes();
+  // Judges each move whose verify window ran out, and records the target's
+  // measured minus predicted unfairness in the deterministic
+  // copart.fleet.migration.prediction_error histogram (when metrics are
+  // attached through FleetParams::obs).
   void VerifyMigrations();
   void PlanMigrations();
   void RollbackMigration(FleetJobId job_id, const char* trigger);

@@ -27,14 +27,20 @@ Result<ContainerInfo> ContainerRuntime::Run(const std::string& name,
     return app.status();
   }
   Result<ResctrlGroupId> group = resctrl_->CreateGroup("container_" + name);
-  if (!group.ok()) {
-    // Roll back the launch so a CLOS-exhausted runtime leaves no orphan app.
+  Status status = group.status();
+  if (status.ok()) {
+    status = resctrl_->AssignApp(*group, *app);
+    if (!status.ok()) {
+      (void)resctrl_->RemoveGroup(*group);  // Best effort.
+    }
+  }
+  if (!status.ok()) {
+    // Roll back the launch so a CLOS-exhausted runtime or a transient
+    // resctrl fault fails this Run without leaving an orphan app.
     Status terminated = machine_->TerminateApp(*app);
     CHECK(terminated.ok()) << terminated.ToString();
-    return group.status();
+    return status;
   }
-  Status assigned = resctrl_->AssignApp(*group, *app);
-  CHECK(assigned.ok()) << assigned.ToString();
 
   ContainerInfo info{.name = name,
                      .app = *app,
@@ -48,9 +54,12 @@ Result<ContainerInfo> ContainerRuntime::Run(const std::string& name,
 Status ContainerRuntime::Stop(const std::string& name) {
   for (size_t i = 0; i < containers_.size(); ++i) {
     if (containers_[i].name == name) {
-      RETURN_IF_ERROR(machine_->TerminateApp(containers_[i].app));
-      Status removed = resctrl_->RemoveGroup(containers_[i].group);
-      CHECK(removed.ok()) << removed.ToString();
+      // A Stop retried after a failed group removal finds the app gone and
+      // only retries the removal.
+      if (machine_->AppExists(containers_[i].app)) {
+        RETURN_IF_ERROR(machine_->TerminateApp(containers_[i].app));
+      }
+      RETURN_IF_ERROR(resctrl_->RemoveGroup(containers_[i].group));
       containers_.erase(containers_.begin() + static_cast<ptrdiff_t>(i));
       return Status::Ok();
     }

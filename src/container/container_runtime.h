@@ -43,12 +43,15 @@ class ContainerRuntime {
   ContainerRuntime(SimulatedMachine* machine, Resctrl* resctrl);
 
   // Launches `workload` in a new container with `cpus` dedicated cores.
-  // Fails on duplicate names, core exhaustion, or CLOS exhaustion (each
-  // container owns a resctrl group).
+  // Fails on duplicate names, core exhaustion, CLOS exhaustion (each
+  // container owns a resctrl group) or a failed resctrl write; a failed Run
+  // leaves no app or group behind.
   Result<ContainerInfo> Run(const std::string& name,
                             const WorkloadDescriptor& workload, uint32_t cpus);
 
-  // Terminates the container's app and removes its group.
+  // Terminates the container's app and removes its group. When the group
+  // removal fails the container stays listed (its app already stopped), and
+  // a later Stop retries the removal.
   Status Stop(const std::string& name);
 
   Result<ContainerInfo> Find(const std::string& name) const;

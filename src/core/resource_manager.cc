@@ -193,13 +193,13 @@ void ResourceManager::SetResourcePool(const ResourcePool& pool) {
     audit_trigger_ = "slo_pool_change";
     (void)EvaluateSlo(/*force=*/true);
     if (!apps_.empty() && phase_ != Phase::kDegraded) {
-      StartAdaptation();
+      StartFullAdaptation();
     }
     return;
   }
   pool_ = pool;
   if (!apps_.empty() && phase_ != Phase::kDegraded) {
-    StartAdaptation();
+    StartFullAdaptation();
   }
 }
 
@@ -313,7 +313,7 @@ Status ResourceManager::SetLatencyCriticalApp(AppId app,
   audit_trigger_ = "slo_admit";
   const bool pool_changed = EvaluateSlo(/*force=*/true);
   if (pool_changed && !apps_.empty() && phase_ != Phase::kDegraded) {
-    StartAdaptation();
+    StartFullAdaptation();
   }
   return Status::Ok();
 }
@@ -412,7 +412,7 @@ void ResourceManager::EvaluateSloTick() {
   audit_trigger_ = "slo_resize";
   const bool pool_changed = EvaluateSlo(/*force=*/false);
   if (pool_changed && !apps_.empty() && phase_ != Phase::kDegraded) {
-    StartAdaptation();
+    StartFullAdaptation();
   }
 }
 
@@ -432,7 +432,7 @@ void ResourceManager::ReapDeadLcApps() {
     audit_trigger_ = "slo_reap";
     const bool pool_changed = EvaluateSlo(/*force=*/true);
     if (pool_changed && !apps_.empty()) {
-      StartAdaptation();
+      StartFullAdaptation();
     }
   }
 }
@@ -453,6 +453,10 @@ double ResourceManager::SlowdownEstimate(AppId app) const {
     return 1.0;
   }
   return std::max(1.0, managed.ips_full / managed.prev_ips);
+}
+
+double ResourceManager::IpsFull(AppId app) const {
+  return apps_[AppIndex(app)].ips_full;
 }
 
 bool ResourceManager::Quarantined(AppId app) const {
@@ -953,14 +957,15 @@ void ResourceManager::StartAdaptation() {
   ResetTrend();
   pending_plan_.reset();
   backoff_ticks_remaining_ = 0;
-  if (!policy_->needs_profiling()) {
-    // Probe-free policies classify from the live signals; adaptation goes
-    // straight to the exploration loop.
+  profile_app_ = NextUnprofiled(0);
+  if (!policy_->needs_profiling() || profile_app_ == apps_.size()) {
+    // Probe-free policies classify from the live signals, and profiled
+    // apps keep their slowdown references and initial classes: adaptation
+    // goes straight to the exploration loop.
     EnterExploration();
     return;
   }
   phase_ = Phase::kProfiling;
-  profile_app_ = 0;
   probe_ = Probe::kFull;
   AdoptDecision(policy_->FairShare(pool_, apps_.size()));
   audit_trigger_ = "adaptation_start";
@@ -973,6 +978,20 @@ void ResourceManager::StartAdaptation() {
     monitor_->Attach(app.id);
     app.prev_ips = 0.0;
   }
+}
+
+void ResourceManager::StartFullAdaptation() {
+  for (ManagedApp& app : apps_) {
+    app.profiled = false;
+  }
+  StartAdaptation();
+}
+
+size_t ResourceManager::NextUnprofiled(size_t from) const {
+  while (from < apps_.size() && apps_[from].profiled) {
+    ++from;
+  }
+  return from;
 }
 
 void ResourceManager::TickProfiling() {
@@ -1030,8 +1049,9 @@ void ResourceManager::TickProfiling() {
     if (probe_ != Probe::kLowMba) {
       probe_ = static_cast<Probe>(static_cast<int>(probe_) + 1);
     } else {
+      app.profiled = !skip_app;
       probe_ = Probe::kFull;
-      ++profile_app_;
+      profile_app_ = NextUnprofiled(profile_app_ + 1);
       if (profile_app_ >= apps_.size()) {
         EnterExploration();
         return;
@@ -1124,8 +1144,9 @@ void ResourceManager::TickExploration() {
   }
 
   if (MetricsRegistry* metrics = ObsMetrics(obs_)) {
-    static constexpr double kSlowdownEdges[] = {1.0, 1.1, 1.25, 1.5,
-                                                2.0, 3.0, 5.0,  10.0};
+    // Bucket 0 holds only estimates below 1.0, which the floor rules out.
+    static const double kSlowdownEdges[] = {
+        std::nextafter(1.0, 0.0), 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0};
     Histogram* slowdowns =
         metrics->GetHistogram("copart.manager.slowdown", kSlowdownEdges);
     for (size_t i = 0; i < n; ++i) {
@@ -1252,7 +1273,7 @@ void ResourceManager::TickIdle() {
       const double drift =
           std::abs(ips - app.idle_baseline_ips) / app.idle_baseline_ips;
       if (drift > params_.idle_ips_drift_threshold) {
-        StartAdaptation();
+        StartFullAdaptation();
         return;
       }
     }
@@ -1328,7 +1349,7 @@ void ResourceManager::TickDegraded() {
         params_.actuation.degraded_recovery_successes) {
       ++degraded_recoveries_;
       backoff_.Reset();
-      StartAdaptation();
+      StartFullAdaptation();
       EmitPhaseAudit("degraded_recovery");
     }
     return;
@@ -1500,7 +1521,7 @@ void ResourceManager::TickImpl() {
       ++trend_reprobes_;
       audit_trigger_ = "trend_backoff";
       EmitPhaseAudit("backoff_reprobe");
-      StartAdaptation();
+      StartFullAdaptation();
     }
     return;
   }

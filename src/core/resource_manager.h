@@ -26,10 +26,13 @@
 //   3. *Idle*: no adaptation; the manager watches for consolidation changes
 //      (app launch/termination), resource-pool changes from an outer server
 //      manager, and significant IPS drift — any of which re-trigger
-//      adaptation (§5.4.3). Each idle tick also reads back every managed
-//      app's CLOS binding, mask and MBA level and re-actuates the current
-//      decision when any of them drifted (a rolled-back write, an
-//      out-of-band schemata edit). A static policy's converged opening
+//      adaptation (§5.4.3). A consolidation change profiles only the apps
+//      not yet profiled (a newcomer), so a departure goes straight to
+//      exploration; every other trigger invalidates every slowdown
+//      reference and re-profiles every app. Each idle tick also reads back
+//      every managed app's CLOS binding, mask and MBA level and re-actuates
+//      the current decision when any of them drifted (a rolled-back write,
+//      an out-of-band schemata edit). A static policy's converged opening
 //      decision lands here directly.
 //
 // Hardening (DESIGN.md §7): the actuation path tolerates a faulty
@@ -105,13 +108,18 @@ class ResourceManager {
                   std::unique_ptr<PartitionPolicy> policy);
 
   // Registers an app to manage; creates its resctrl group and (re)starts
-  // the adaptation process.
+  // the adaptation process, profiling only the newcomer (and any app still
+  // unprofiled).
   Status AddApp(AppId app);
+  // Stops managing an app. Terminate it on the machine first: a removal
+  // records the machine's app generation, and a termination after it
+  // reads as a second consolidation change on the next idle tick.
   Status RemoveApp(AppId app);
   size_t NumApps() const { return apps_.size(); }
 
   // Installs a new resource slice (from an outer server manager) and
-  // restarts adaptation. The manager repartitions only within this pool.
+  // restarts adaptation, re-profiling every app (the probes measured the
+  // old slice). The manager repartitions only within this pool.
   // In SLO mode this is the *base* pool: the LC slices are carved off its
   // bottom and the batch apps are matched over the remainder.
   void SetResourcePool(const ResourcePool& pool);
@@ -170,6 +178,9 @@ class ResourceManager {
   // Online slowdown estimate (profiled IPS_full / latest IPS); 1.0 before
   // profiling has finished.
   double SlowdownEstimate(AppId app) const;
+  // The app's profiled full-resource IPS (the Eq. 1 slowdown reference);
+  // 0 before its first full-resource probe or after a quarantine skip.
+  double IpsFull(AppId app) const;
 
   // Latest policy classification for a managed app — what the allocator
   // saw (or will see) this period. The sensing accuracy harness compares
@@ -229,6 +240,10 @@ class ResourceManager {
     double ips_full = 0.0;   // Profiled full-resource IPS (Eq. 1 numerator).
     double prev_ips = 0.0;   // IPS over the previous period.
     double idle_baseline_ips = 0.0;
+    // Set when the app's three probes complete; an app whose probes were
+    // skipped under quarantine keeps it clear, so the next adaptation
+    // probes it again.
+    bool profiled = false;
     // Counter-health tracking (quarantine policy).
     int bad_sample_streak = 0;
     int good_sample_streak = 0;
@@ -289,7 +304,17 @@ class ResourceManager {
   // Profiling probe schedule: 3 probes per app.
   enum class Probe { kFull = 0, kFewWays = 1, kLowMba = 2 };
 
+  // Restarts adaptation after a consolidation change: profiles the apps
+  // whose `profiled` bit is clear, or goes straight to exploration when
+  // every app is profiled (and for probe-free policies).
   void StartAdaptation();
+  // Clears every `profiled` bit, then StartAdaptation: the triggers that
+  // invalidate every slowdown reference (IPS drift, the trend re-probe,
+  // pool changes, degraded recovery) re-profile every app.
+  void StartFullAdaptation();
+  // Index of the first app at or after `from` still to profile;
+  // apps_.size() when there is none.
+  size_t NextUnprofiled(size_t from) const;
   // Installs a policy decision as the manager's current state/slot map.
   void AdoptDecision(const PartitionDecision& decision);
   // Lazily creates the shared cluster groups ("copart_cluster_<k>") a

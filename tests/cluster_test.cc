@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "harness/fleet.h"
 #include "obs/metrics_registry.h"
+#include "obs/obs.h"
 
 namespace copart {
 namespace {
@@ -67,6 +68,37 @@ TEST(ClusterNodeTest, TickDrivesControllerToConvergence) {
   EXPECT_EQ(node.manager().phase(), ResourceManager::Phase::kIdle);
   EXPECT_EQ(node.CurrentSlowdowns().size(), 3u);
   EXPECT_GE(node.CurrentUnfairness(), 0.0);
+}
+
+TEST(ClusterNodeTest, EvictFromAnIdleNodeStartsOneAdaptation) {
+  ClusterNode node("n0", QuietConfig(), {});
+  ASSERT_TRUE(node.Admit(WaterNsquared(), 4).ok());
+  ASSERT_TRUE(node.Admit(Cg(), 4).ok());
+  Result<AppId> sw = node.Admit(Swaptions(), 4);
+  ASSERT_TRUE(sw.ok());
+  const auto tick = [&node] {
+    node.machine().AdvanceTime(0.5);
+    node.manager().Tick();
+  };
+  for (int i = 0; i < 120; ++i) {
+    tick();
+  }
+  ASSERT_EQ(node.manager().phase(), ResourceManager::Phase::kIdle);
+  const uint64_t adaptations = node.manager().adaptations_started();
+  ASSERT_TRUE(node.Evict(*sw).ok());
+  EXPECT_EQ(node.manager().adaptations_started(), adaptations + 1);
+  // Back in idle, the first idle ticks must not read the termination as a
+  // second consolidation change.
+  for (int i = 0; i < 200 &&
+                  node.manager().phase() != ResourceManager::Phase::kIdle;
+       ++i) {
+    tick();
+  }
+  ASSERT_EQ(node.manager().phase(), ResourceManager::Phase::kIdle);
+  tick();
+  tick();
+  EXPECT_EQ(node.manager().adaptations_started(), adaptations + 1);
+  EXPECT_EQ(node.manager().phase(), ResourceManager::Phase::kIdle);
 }
 
 TEST(ClusterNodeTest, EvictUnknownAppReturnsNotFound) {
@@ -447,6 +479,12 @@ TEST(FleetScenarioTest, RobustnessScenarioMigratesRecoversAndConserves) {
   config.crash_probability = 0.0002;
   config.slow_probability = 0.002;
   config.blackout_probability = 0.002;
+  Observability obs;
+  config.obs = &obs;
+  static constexpr double kErrorEdges[] = {-0.2, -0.1, -0.05, 0.0,
+                                           0.05, 0.1,  0.2,   0.5};
+  const Histogram* prediction_error = obs.metrics.GetHistogram(
+      "copart.fleet.migration.prediction_error", kErrorEdges);
   const FleetScenarioResult result = RunFleetScenario(config);
   EXPECT_EQ(result.counters.invariant_violations, 0u);
   EXPECT_TRUE(result.first_violation.empty()) << result.first_violation;
@@ -454,6 +492,13 @@ TEST(FleetScenarioTest, RobustnessScenarioMigratesRecoversAndConserves) {
   EXPECT_GE(result.counters.reboots, 6u);
   EXPECT_GE(result.counters.migrations_completed, 1u);
   EXPECT_GE(result.counters.migration_rollbacks, 1u);
+  // Every completed move was judged on a measurement; a measured verdict
+  // that failed ends in a rollback, a bounce or a shed.
+  EXPECT_GE(prediction_error->count(), result.counters.migrations_completed);
+  EXPECT_LE(prediction_error->count(),
+            result.counters.migrations_completed +
+                result.counters.migration_rollbacks +
+                result.counters.migration_failures);
   EXPECT_GE(result.recovery_epochs, 0);
   EXPECT_EQ(result.counters.submitted,
             result.resident_jobs + result.counters.completed +

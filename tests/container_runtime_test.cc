@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
 #include "core/resource_manager.h"
 #include "pmc/perf_monitor.h"
 #include "workload/workload.h"
@@ -14,15 +15,17 @@ namespace {
 class ContainerTest : public ::testing::Test {
  protected:
   ContainerTest()
-      : machine_(MakeConfig()), resctrl_(&machine_),
+      : machine_(MakeConfig(&injector_)), resctrl_(&machine_),
         runtime_(&machine_, &resctrl_) {}
 
-  static MachineConfig MakeConfig() {
+  static MachineConfig MakeConfig(FaultInjector* injector) {
     MachineConfig config;
     config.ips_noise_sigma = 0.0;
+    config.fault_injector = injector;
     return config;
   }
 
+  FaultInjector injector_{3};  // Disarmed unless a test arms it.
   SimulatedMachine machine_;
   Resctrl resctrl_;
   ContainerRuntime runtime_;
@@ -76,6 +79,31 @@ TEST_F(ContainerTest, ClosExhaustionRollsBackApp) {
   EXPECT_EQ(runtime_.Run("late", Ep(), 1).status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(machine_.ListApps().size(), apps_before);
+}
+
+TEST_F(ContainerTest, TransientResctrlFaultsFailWithoutAborting) {
+  FaultSpec once;
+  once.probability = 1.0;
+  once.max_failures = 1;
+  const size_t groups_before = resctrl_.GroupNames().size();
+  injector_.Arm(fault_points::kResctrlAssignApp, once);
+  EXPECT_EQ(runtime_.Run("a", Cg(), 4).status().code(),
+            StatusCode::kUnavailable);
+  // The failed Run left no app, group or container behind.
+  EXPECT_TRUE(machine_.ListApps().empty());
+  EXPECT_EQ(resctrl_.GroupNames().size(), groups_before);
+  EXPECT_TRUE(runtime_.List().empty());
+  ASSERT_TRUE(runtime_.Run("a", Cg(), 4).ok());
+
+  injector_.Arm(fault_points::kResctrlRemoveGroup, once);
+  EXPECT_EQ(runtime_.Stop("a").code(), StatusCode::kUnavailable);
+  // The app stopped; the container stays listed until its group is gone,
+  // and the next Stop finishes the job.
+  EXPECT_TRUE(machine_.ListApps().empty());
+  EXPECT_TRUE(runtime_.Find("a").ok());
+  ASSERT_TRUE(runtime_.Stop("a").ok());
+  EXPECT_FALSE(resctrl_.FindGroup("container_a").ok());
+  EXPECT_TRUE(runtime_.List().empty());
 }
 
 TEST_F(ContainerTest, ListAndFind) {

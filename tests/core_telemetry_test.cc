@@ -1,6 +1,7 @@
 // The ResourceManager's telemetry through an attached Observability: the
 // audit log's exploration records, the slowdown histogram, degraded-mode
 // transitions, and detaching.
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -70,8 +71,10 @@ class TelemetryTest : public ::testing::Test {
 };
 
 TEST_F(TelemetryTest, AuditsEveryExplorationDecision) {
-  static constexpr double kSlowdownEdges[] = {1.0, 1.1, 1.25, 1.5,
-                                              2.0, 3.0, 5.0,  10.0};
+  // Bucket 0 holds only values below 1.0, so a floored estimate (exactly
+  // 1.0) and one below the floor land in different buckets.
+  static const double kSlowdownEdges[] = {
+      std::nextafter(1.0, 0.0), 1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0};
   const Histogram* slowdowns =
       obs_.metrics.GetHistogram("copart.manager.slowdown", kSlowdownEdges);
   AddApps();
@@ -93,6 +96,7 @@ TEST_F(TelemetryTest, AuditsEveryExplorationDecision) {
   }
   ASSERT_GT(slowdowns->count(), 0u);
   EXPECT_DOUBLE_EQ(slowdowns->sum(), estimate_sum);
+  EXPECT_EQ(slowdowns->bucket(0), 0u);
 
   const std::vector<AuditRecord> records = ExplorationAllocations(obs_.audit);
   ASSERT_FALSE(records.empty());

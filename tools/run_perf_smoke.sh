@@ -50,7 +50,7 @@
 # and must arrive as a deliberate baseline refresh. Its thread-scaling
 # points (the default thread count, node-ticks/sec at 1 thread, and the
 # ratio of the two rates) depend on the host's cores and are printed but
-# not gated.
+# not gated, as is the canonical scenario's migration rollback ratio.
 #
 # Usage: tools/run_perf_smoke.sh [build-dir]
 #
@@ -297,7 +297,8 @@ check_fleet_run() {  # check_fleet_run FILE LABEL
           "value=$now (exact match)"
       fi
     else
-      # Host-dependent thread scaling: reported, never gated.
+      # Host-dependent thread scaling and the rollback ratio: reported,
+      # never gated.
       echo "run_perf_smoke: info [$label] point=$point" \
         "value=$now (baseline=$base, not gated)"
     fi
