@@ -20,7 +20,9 @@ PartitionDecision CbpPolicy::Allocate(
     Rng& rng) {
   PartitionDecision decision = LfocPolicy::Allocate(current, signals, rng);
   decision.prefetch_percent.resize(throttled_.size());
+  bool flipped = false;
   for (size_t i = 0; i < throttled_.size(); ++i) {
+    const bool was_throttled = throttled_[i];
     if (!throttled_[i]) {
       if (classes_[i] == AppClass::kStreaming &&
           traffic_ratios_[i] >= params_.classifier.traffic_ratio_high) {
@@ -30,8 +32,15 @@ PartitionDecision CbpPolicy::Allocate(
                traffic_ratios_[i] < params_.cbp.release_traffic_ratio) {
       throttled_[i] = false;
     }
+    flipped = flipped || throttled_[i] != was_throttled;
     decision.prefetch_percent[i] =
         throttled_[i] ? params_.cbp.throttled_prefetch_percent : 100u;
+  }
+  if (flipped) {
+    // A parked decision is never actuated, so a throttle that flips here
+    // must land first: the decision is unstable.
+    decision.converged = false;
+    stable_decisions_ = 0;
   }
   return decision;
 }

@@ -31,8 +31,11 @@ void LfocPolicy::OnAppRemoved(size_t index) {
 PartitionDecision LfocPolicy::StartExploration(const ResourcePool& pool,
                                                size_t num_apps) {
   CHECK_EQ(num_apps, classes_.size());
-  num_sensitive_clusters_ = 1;
-  resize_cooldown_remaining_ = 0;
+  // The sensitive-cluster count and its resize cooldown carry over: a
+  // churn, drift or pool change re-explores from the current count, and
+  // only the split/merge rule moves it. Stability is judged afresh: the
+  // first decision has nothing to repeat.
+  last_allocations_.clear();
   return FairShare(pool, num_apps);
 }
 
@@ -82,7 +85,30 @@ PartitionDecision LfocPolicy::Allocate(
     Rng& rng) {
   (void)signals;  // Consumed by Classify.
   (void)rng;      // Deterministic: LFOC never draws randomness.
-  const ResourcePool& pool = current.pool();
+  PartitionDecision decision = Cluster(current.pool());
+  // Park once the classes and every app's (ways, MBA) have held for longer
+  // than a resize cooldown, so the split/merge rule has had a period to fire
+  // and did not. Keyed on per-app allocations, not slot membership: equal-
+  // pressure apps swapping between identical slots change nothing an app
+  // runs with, while an app trading a wide slot for a narrow one is the
+  // time-sharing that keeps such a mix fair, and must keep exploring.
+  bool unchanged = classes_ == last_classes_ &&
+                   last_allocations_.size() == decision.app_slot.size();
+  last_allocations_.resize(decision.app_slot.size());
+  for (size_t i = 0; i < last_allocations_.size(); ++i) {
+    const AppAllocation& allocation =
+        decision.state.allocation(decision.app_slot[i]);
+    unchanged = unchanged && allocation == last_allocations_[i];
+    last_allocations_[i] = allocation;
+  }
+  last_classes_ = classes_;
+  stable_decisions_ = unchanged ? stable_decisions_ + 1 : 0;
+  decision.converged =
+      stable_decisions_ > params_.lfoc.resize_cooldown_periods;
+  return decision;
+}
+
+PartitionDecision LfocPolicy::Cluster(const ResourcePool& pool) {
   const size_t n = classes_.size();
 
   std::vector<size_t> lights, streams, sens;

@@ -16,7 +16,13 @@
 // exceeds LfocParams::split_spread, another cluster is opened so the
 // most-starved apps get isolated capacity; when the spread collapses below
 // merge_spread, clusters merge back to free CLOSes. Plain "lfoc" keeps a
-// single sensitive cluster.
+// single sensitive cluster. The count survives StartExploration, so a
+// churn or drift re-explores from the current clustering.
+//
+// Steady state: Allocate converges once the classes and every app's
+// allocation (its slot's ways and MBA level, not the slot index) have
+// repeated for resize_cooldown_periods + 1 decisions, and the driver parks
+// in idle until a consolidation change or IPS drift.
 //
 // No profiling probes and no RNG: the clustering signal is each app's
 // *miss pressure* — LLC accesses/sec x miss ratio, i.e. the miss traffic it
@@ -73,9 +79,19 @@ class LfocPolicy : public PartitionPolicy {
   std::vector<double> pressure_;
   // Last healthy memory-traffic ratio (CbpPolicy's hysteresis input).
   std::vector<double> traffic_ratios_;
-  // LFOC+ sensitive-cluster sizing.
+  // LFOC+ sensitive-cluster sizing; survives StartExploration.
   uint32_t num_sensitive_clusters_ = 1;
   int resize_cooldown_remaining_ = 0;
+  // Steady state: the previous decision's classes and per-app allocations,
+  // and how many decisions in a row repeated them (Allocate converges past
+  // LfocParams::resize_cooldown_periods).
+  std::vector<AppClass> last_classes_;
+  std::vector<AppAllocation> last_allocations_;
+  int stable_decisions_ = 0;
+
+ private:
+  // The clustered decision for this period's classes and pressures.
+  PartitionDecision Cluster(const ResourcePool& pool);
 };
 
 }  // namespace copart

@@ -545,9 +545,11 @@ ResourceManager::ActuationPlan ResourceManager::PlanForState(
 void ResourceManager::AdoptDecision(const PartitionDecision& decision) {
   state_ = decision.state;
   app_slot_ = decision.app_slot;
+  verified_generation_.reset();
 }
 
 Status ResourceManager::EnsureSlotGroups(size_t count) {
+  verified_generation_.reset();
   while (slot_groups_.size() < count) {
     Result<ResctrlGroupId> group = resctrl_->CreateGroup(
         "copart_cluster_" + std::to_string(slot_groups_.size()));
@@ -670,6 +672,7 @@ ResourceManager::ActuationPlan ResourceManager::PlanForProbe() const {
 }
 
 Status ResourceManager::ApplyPlanTransactional(const ActuationPlan& plan) {
+  verified_generation_.reset();
   const SimulatedMachine& machine = resctrl_->machine();
   // Snapshot, so a half-applied transaction can be unwound.
   struct Snapshot {
@@ -1245,14 +1248,20 @@ void ResourceManager::TickIdle() {
   // Allocation drift: a write the substrate rolled back after the fact, or
   // an out-of-band schemata edit. Re-actuate the current decision (through
   // the usual retry/backoff/degraded path) rather than run the rest of the
-  // phase on the wrong partitioning.
-  if (AllocationDrifted()) {
-    audit_trigger_ = "idle_drift_repair";
-    PartitionDecision current;
-    current.state = state_;
-    current.app_slot = app_slot_;
-    (void)ActuateDecision(current);
-    return;
+  // phase on the wrong partitioning. Every machine mutator bumps the input
+  // generation on a change, so while it still equals the one a clean
+  // readback saw, nothing can have drifted and the readback is skipped.
+  const uint64_t generation = resctrl_->machine().input_generation();
+  if (verified_generation_ != generation) {
+    if (AllocationDrifted()) {
+      audit_trigger_ = "idle_drift_repair";
+      PartitionDecision current;
+      current.state = state_;
+      current.app_slot = app_slot_;
+      (void)ActuateDecision(current);
+      return;
+    }
+    verified_generation_ = generation;
   }
   // Significant IPS drift, e.g. the outer manager squeezed the batch slice
   // or a co-runner changed behaviour.

@@ -29,11 +29,13 @@
 //      adaptation (§5.4.3). A consolidation change profiles only the apps
 //      not yet profiled (a newcomer), so a departure goes straight to
 //      exploration; every other trigger invalidates every slowdown
-//      reference and re-profiles every app. Each idle tick also reads back
+//      reference and re-profiles every app. An idle tick also reads back
 //      every managed app's CLOS binding, mask and MBA level and re-actuates
 //      the current decision when any of them drifted (a rolled-back write,
-//      an out-of-band schemata edit). A static policy's converged opening
-//      decision lands here directly.
+//      an out-of-band schemata edit); the readback is skipped while the
+//      machine's input generation is unchanged since a clean one. A static
+//      policy's converged opening decision lands here directly, and so does
+//      a clustering policy's once its allocation holds.
 //
 // Hardening (DESIGN.md §7): the actuation path tolerates a faulty
 // substrate. Every allocation change is applied as a transaction —
@@ -466,6 +468,11 @@ class ResourceManager {
   uint64_t trend_reprobes_ = 0;
 
   uint64_t last_seen_generation_ = 0;
+  // Machine input generation at the last idle readback that found no
+  // drift; TickIdle skips the readback while the machine still reports it.
+  // Cleared by every path that changes the intended partition or touches
+  // resctrl (AdoptDecision, EnsureSlotGroups, ApplyPlanTransactional).
+  std::optional<uint64_t> verified_generation_;
   uint64_t adaptations_started_ = 0;
   double last_exploration_us_ = 0.0;
   RunningStats exploration_time_stats_;

@@ -154,6 +154,12 @@ class SimulatedMachine {
   // Monotonic counter bumped on every launch/termination; the controller's
   // idle phase polls it to detect consolidation changes (paper §5.4.3).
   uint64_t app_generation() const { return app_generation_; }
+  // Counter bumped by every mutation of the epoch solve's inputs: masks,
+  // MBA levels, CLOS membership, caps, prefetch, launches, terminations and
+  // phase crossings. Mutators compare values first, so while it is
+  // unchanged the partitioning is too; the controller's idle readback
+  // relies on this. Restore() rewinds it with the rest of the snapshot.
+  uint64_t input_generation() const { return input_generation_; }
 
   // --- Partitioning state (called by the resctrl module) ---
 

@@ -296,6 +296,72 @@ TEST(StaticPolicyFaultTest, RepairIsRetriedUntilTheSubstrateRecovers) {
   EXPECT_EQ(manager.phase(), ResourceManager::Phase::kIdle);
 }
 
+// NoPart until told to split, then a converged one-slot-per-app opening:
+// the restart needs cluster groups the driver has not created yet.
+class SplittingPolicy : public StaticPartitionPolicy {
+ public:
+  explicit SplittingPolicy(const bool* split)
+      : StaticPartitionPolicy("split", /*shared=*/true), split_(split) {}
+
+  PartitionDecision StartExploration(const ResourcePool& pool,
+                                     size_t num_apps) override {
+    if (!*split_) {
+      return StaticPartitionPolicy::StartExploration(pool, num_apps);
+    }
+    PartitionDecision decision =
+        MakePerAppDecision(SystemState::EqualShare(pool, num_apps));
+    decision.converged = true;
+    return decision;
+  }
+
+ private:
+  const bool* split_;
+};
+
+TEST(StaticPolicyFaultTest, FailedGroupCreationIsRepairedOnTheNextIdleTick) {
+  FaultInjector injector(0xE45ULL);
+  MachineConfig config = QuietConfig();
+  config.fault_injector = &injector;
+  SimulatedMachine machine(config);
+  Resctrl resctrl(&machine);
+  PerfMonitor monitor(&machine);
+  bool split = false;
+  ResourceManager manager(&resctrl, &monitor, {},
+                          std::make_unique<SplittingPolicy>(&split));
+  manager.SetResourcePool(FullPool());
+  std::vector<AppId> apps;
+  for (const WorkloadDescriptor& descriptor : {WaterNsquared(), Cg()}) {
+    Result<AppId> app = machine.LaunchApp(descriptor, 4);
+    ASSERT_TRUE(app.ok());
+    ASSERT_TRUE(manager.AddApp(*app).ok());
+    apps.push_back(*app);
+  }
+  for (int i = 0; i < 3; ++i) {  // Parked, with clean readbacks.
+    machine.AdvanceTime(0.5);
+    manager.Tick();
+  }
+  ASSERT_EQ(machine.AppClos(apps[0]), machine.AppClos(apps[1]));
+
+  // The restart adopts a two-slot decision whose second group cannot be
+  // created: nothing reaches the machine, and no retry is scheduled.
+  FaultSpec down;
+  down.probability = 1.0;
+  injector.Arm(fault_points::kResctrlCreateGroup, down);
+  split = true;
+  manager.SetResourcePool(FullPool());
+  EXPECT_EQ(manager.phase(), ResourceManager::Phase::kIdle);
+  EXPECT_EQ(manager.actuation_failures(), 1u);
+  ASSERT_EQ(machine.AppClos(apps[0]), machine.AppClos(apps[1]));
+
+  // No machine input changed since the last clean readback, yet the next
+  // idle tick must read back, find the missing group and repair.
+  injector.DisarmAll();
+  machine.AdvanceTime(0.5);
+  manager.Tick();
+  EXPECT_NE(machine.AppClos(apps[0]), machine.AppClos(apps[1]));
+  EXPECT_EQ(manager.phase(), ResourceManager::Phase::kIdle);
+}
+
 TEST_F(PoliciesTest, CatOnlyFreezesMba) {
   ResourceManager manager(&resctrl_, &monitor_, Named("cat-only"));
   EXPECT_EQ(manager.partition_policy().name(), "cat-only");
