@@ -31,11 +31,15 @@ int main(int argc, char** argv) {
       mix_stats.threads = result.stats.threads;
       mix_stats.wall_sec += result.stats.wall_sec;
       mix_stats.cpu_sec += result.stats.cpu_sec;
+      std::string range = "[";
+      range += FormatFixed(result.unfairness.min, 4);
+      range += ", ";
+      range += FormatFixed(result.unfairness.max, 4);
+      range += "]";
       rows.push_back({name,
                       FormatFixed(result.unfairness.mean, 4) + " +/- " +
                           FormatFixed(result.unfairness.stddev, 4),
-                      "[" + FormatFixed(result.unfairness.min, 4) + ", " +
-                          FormatFixed(result.unfairness.max, 4) + "]"});
+                      range});
     }
     std::printf("-- %s --\n", mix.name.c_str());
     PrintTable({"policy", "unfairness", "range"}, rows);

@@ -49,7 +49,10 @@ int main(int argc, char** argv) {
     const ExperimentResult result = RunExperiment(mix, factory, {});
     std::string slowdowns;
     for (size_t i = 0; i < result.slowdowns.size(); ++i) {
-      slowdowns += (i > 0 ? " " : "") + FormatFixed(result.slowdowns[i], 2);
+      if (i > 0) {
+        slowdowns += ' ';
+      }
+      slowdowns += FormatFixed(result.slowdowns[i], 2);
     }
     rows.push_back({name, FormatFixed(result.unfairness, 4),
                     FormatSci(result.throughput_geomean), slowdowns});

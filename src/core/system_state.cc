@@ -144,8 +144,11 @@ std::string SystemState::ToString() const {
     if (i > 0) {
       result += ", ";
     }
-    result += "(" + std::to_string(allocations_[i].llc_ways) + "w," +
-              std::to_string(allocations_[i].mba_level.percent()) + "%)";
+    result += "(";
+    result += std::to_string(allocations_[i].llc_ways);
+    result += "w,";
+    result += std::to_string(allocations_[i].mba_level.percent());
+    result += "%)";
   }
   result += "}";
   return result;

@@ -17,9 +17,19 @@
 // draw sequence (one exponential + one uniform per candidate) is fixed
 // for every shape — including plain Poisson — so switching shapes never
 // shifts a co-located generator's stream.
+//
+// Candidates are thinned a block at a time: a refill draws both uniforms
+// of kBlock candidates in stream order, turns the first of each pair into
+// an exponential gap in one pass, then walks the gaps and keeps the
+// accepted arrivals. Every draw and every floating-point operation happens
+// in the order a one-candidate-at-a-time loop would do them, so Next()
+// returns bit-identical times; the stream is private, so drawing ahead is
+// unobservable.
 #ifndef COPART_SERVE_ARRIVAL_H_
 #define COPART_SERVE_ARRIVAL_H_
 
+#include <array>
+#include <cstddef>
 #include <vector>
 
 #include "common/rng.h"
@@ -43,7 +53,8 @@ struct ArrivalConfig {
   double diurnal_amplitude = 0.5;  // In [0, 1].
 
   // kBurst phases, cycled for the lifetime of the generator. Empty falls
-  // back to the constant base rate.
+  // back to the constant base rate; otherwise at least one phase needs a
+  // positive rate_multiplier, or no candidate would ever be accepted.
   std::vector<BurstPhase> burst_phases;
 
   // kFlashCrowd: rate = base * flash_multiplier while
@@ -65,22 +76,58 @@ class ArrivalGenerator {
 
   // Absolute time (seconds since t=0) of the next arrival; strictly
   // increasing across calls.
-  double Next();
+  double Next() {
+    while (next_kept_ == num_kept_) {
+      Refill();
+    }
+    return kept_[next_kept_++];
+  }
 
-  // Instantaneous offered rate (requests/s) at time t.
-  double RateAt(double t) const;
+  // Instantaneous offered rate (requests/s) at time t; always equal to
+  // ArrivalRateAt(config, t). A kBurst lookup answers from the cached
+  // cycle and moves the cache to t's cycle, hence non-const.
+  double RateAt(double t);
 
   // Maximum of RateAt over all t — the thinning envelope.
   double PeakRate() const;
 
  private:
+  // Thinning candidates per refill.
+  static constexpr size_t kBlock = 64;
+
+  void Refill();
+  // RateAt's body, inlined into Refill's thinning pass.
+  double CandidateRate(double t);
+  // Points the kBurst cycle cache at t's cycle [n*C, (n+1)*C); true when
+  // t lies in it and the cycle is exact.
+  bool CacheCycle(double t);
+
   ArrivalConfig config_;
   Rng rng_;
   // PeakRate() and the candidate stream's mean gap 1 / PeakRate(), fixed
   // by the config and so computed once, not per thinning candidate.
   double peak_rate_ = 0.0;
   double candidate_mean_gap_sec_ = 0.0;
+  // Time of the last candidate drawn (accepted or not).
   double t_ = 0.0;
+
+  // kBurst: the cycle length C, summed once in phase order, and the
+  // cached cycle. While cycle_exact_, both ends are exact multiples of C
+  // and t - cycle_start_ == fmod(t, C) for every t in the range. Shapes
+  // without a cycle keep one inexact range over every t.
+  double cycle_sec_ = 0.0;
+  double cycle_start_ = 0.0;
+  double cycle_end_ = 0.0;
+  bool cycle_exact_ = false;
+
+  // The current block: uniforms, then exponential gaps (gaps_) and
+  // acceptance uniforms (accepts_) of its candidates, and the accepted
+  // arrival times kept_[next_kept_, num_kept_) still to hand out.
+  std::array<double, kBlock> gaps_;
+  std::array<double, kBlock> accepts_;
+  std::array<double, kBlock> kept_;
+  size_t next_kept_ = 0;
+  size_t num_kept_ = 0;
 };
 
 }  // namespace copart

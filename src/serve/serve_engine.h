@@ -13,11 +13,13 @@
 //
 // AdvanceEpoch() runs the event loop over exactly one control period:
 // events are the held pending arrival and the head-of-line completion,
-// processed in time order with completions winning ties. Service demand
-// is drawn when a request enters service, so the Rng draw order is fixed
-// by the (deterministic) event sequence; the in-flight request's residual
-// demand carries across epochs, which is how a mid-request CLOS resize
-// changes its completion time. The conservation invariant
+// processed in time order with completions winning ties. Service demands
+// come from a private stream, drawn ahead a block at a time and consumed
+// one per request in the order requests enter service — the same values a
+// draw at service entry would give, since nothing else reads the stream.
+// The in-flight request's residual demand carries across epochs, which is
+// how a mid-request CLOS resize changes its completion time. The
+// conservation invariant
 //
 //   total_arrivals == total_completions + total_drops + queue_depth
 //
@@ -25,6 +27,7 @@
 #ifndef COPART_SERVE_SERVE_ENGINE_H_
 #define COPART_SERVE_SERVE_ENGINE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -107,11 +110,19 @@ class LcServer {
     }
   };
 
-  void StartService();
-  void RecordCompletion(double completion_time);
+  // Service demands drawn per refill.
+  static constexpr size_t kDemandBlock = 64;
+
+  // The next request's service demand (instructions, floored at 1).
+  double NextDemand() {
+    if (next_demand_ == kDemandBlock) {
+      RefillDemands();
+    }
+    return demands_[next_demand_++];
+  }
+  void RefillDemands();
 
   LcServerConfig config_;
-  Rng arrival_rng_;
   Rng service_rng_;
   ArrivalGenerator generator_;
 
@@ -120,11 +131,13 @@ class LcServer {
   // Next arrival drawn from the generator but not yet offered (its time
   // may lie beyond the current epoch).
   double pending_arrival_ = 0.0;
-  bool have_pending_ = false;
   // Residual instruction demand of the head-of-line request, valid while
   // in_service_ (it entered service and survives epoch boundaries).
   double remaining_instructions_ = 0.0;
   bool in_service_ = false;
+  // Demands drawn but not yet served: demands_[next_demand_, kDemandBlock).
+  std::array<double, kDemandBlock> demands_;
+  size_t next_demand_ = kDemandBlock;
 
   LatencySketch epoch_sketch_;
   LatencySketch total_sketch_;

@@ -73,7 +73,9 @@ TEST_F(ContainerTest, ClosExhaustionRollsBackApp) {
   // Consume all 15 non-default CLOSes, then one more container must fail
   // without leaking its app.
   for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(resctrl_.CreateGroup("g" + std::to_string(i)).ok());
+    std::string group = "g";
+    group += std::to_string(i);
+    ASSERT_TRUE(resctrl_.CreateGroup(group).ok());
   }
   const size_t apps_before = machine_.ListApps().size();
   EXPECT_EQ(runtime_.Run("late", Ep(), 1).status().code(),

@@ -94,7 +94,9 @@ TEST_F(FailureInjectionTest, AllAppsDie) {
   EXPECT_EQ(manager_.phase(), ResourceManager::Phase::kIdle);
   // The manager's groups were reclaimed: a full set is creatable again.
   for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(resctrl_.CreateGroup("g" + std::to_string(i)).ok()) << i;
+    std::string group = "g";
+    group += std::to_string(i);
+    ASSERT_TRUE(resctrl_.CreateGroup(group).ok()) << i;
   }
 }
 

@@ -50,7 +50,9 @@ TEST_F(ResctrlTest, EmptyNameRejected) {
 TEST_F(ResctrlTest, GroupCountLimitedByClosCount) {
   // CLOS 0 is the default group; 15 more fit on the modeled CPU.
   for (int i = 0; i < 15; ++i) {
-    ASSERT_TRUE(resctrl_.CreateGroup("g" + std::to_string(i)).ok()) << i;
+    std::string group = "g";
+    group += std::to_string(i);
+    ASSERT_TRUE(resctrl_.CreateGroup(group).ok()) << i;
   }
   EXPECT_EQ(resctrl_.CreateGroup("overflow").status().code(),
             StatusCode::kResourceExhausted);

@@ -1,14 +1,21 @@
 // Arrival generators (src/serve/arrival.h): seed determinism down to the
-// exact draw sequence, shape correctness of the rate functions, and the
-// statistical sanity of the thinned processes.
+// exact draw sequence, bit identity with the one-candidate-at-a-time
+// reference (serve_reference.h), the cached burst-rate lookup at every
+// boundary, shape correctness of the rate functions, and the statistical
+// sanity of the thinned processes.
 #include "serve/arrival.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "harness/serve.h"
+#include "serve_reference.h"
 
 namespace copart {
 namespace {
@@ -113,6 +120,134 @@ TEST(ArrivalGeneratorTest, ArrivalsStrictlyIncreaseForEveryShape) {
       last = t;
     }
   }
+}
+
+ArrivalConfig BurstConfig(double base_rate_rps,
+                          std::vector<BurstPhase> phases) {
+  ArrivalConfig config;
+  config.kind = ArrivalKind::kBurst;
+  config.base_rate_rps = base_rate_rps;
+  config.burst_phases = std::move(phases);
+  return config;
+}
+
+TEST(ArrivalGeneratorTest, BlockDrawsMatchOneCandidateAtATimeReference) {
+  // Every shape, and the burst traces the harnesses and perfbench run, each
+  // at its own rate (fine-grained times) and, where the cycle is long, at a
+  // low rate so one run crosses many phase and cycle boundaries. The last
+  // case's cycle (0.1 + 0.2 s) has multiples that are not exact doubles, so
+  // its lookups take the fmod fallback.
+  struct Case {
+    std::string name;
+    ArrivalConfig config;
+  };
+  std::vector<Case> cases;
+  ArrivalConfig poisson;
+  poisson.base_rate_rps = 1000.0;
+  cases.push_back({"poisson", poisson});
+  ArrivalConfig diurnal;
+  diurnal.kind = ArrivalKind::kDiurnal;
+  diurnal.base_rate_rps = 2000.0;
+  diurnal.diurnal_period_sec = 5.0;
+  diurnal.diurnal_amplitude = 1.0;
+  cases.push_back({"diurnal", diurnal});
+  cases.push_back({"burst", BurstConfig(5000.0, {{0.5, 2.0}, {0.5, 0.25}})});
+  ArrivalConfig flash;
+  flash.kind = ArrivalKind::kFlashCrowd;
+  flash.base_rate_rps = 5000.0;
+  flash.flash_start_sec = 0.5;
+  flash.flash_duration_sec = 1.0;
+  flash.flash_multiplier = 6.0;
+  cases.push_back({"flash_crowd", flash});
+  const ArrivalConfig section63 = Section63ServeScenario().lc_apps[0].arrival;
+  cases.push_back({"section63", section63});
+  cases.push_back({"section63_slow", BurstConfig(100.0,
+                                                 section63.burst_phases)});
+  const std::vector<BurstPhase> perfbench_cycle = {
+      {5.0, 1.0}, {15.0, 2.4}, {20.0, 1.0}};
+  cases.push_back({"perfbench", BurstConfig(75000.0, perfbench_cycle)});
+  cases.push_back({"perfbench_slow", BurstConfig(100.0, perfbench_cycle)});
+  const ArrivalConfig fig15 = Fig15ServeScenario().lc_apps[0].arrival;
+  cases.push_back({"fig15", fig15});
+  cases.push_back({"fig15_slow", BurstConfig(20.0, fig15.burst_phases)});
+  cases.push_back(
+      {"inexact_cycle", BurstConfig(1000.0, {{0.1, 3.0}, {0.2, 0.5}})});
+
+  constexpr uint64_t kCandidatesPerRun = 40000;
+  uint64_t total_candidates = 0;
+  for (const Case& c : cases) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      ArrivalGenerator generator(c.config, Rng(seed));
+      serve_reference::Arrivals reference(c.config, Rng(seed));
+      for (uint64_t i = 0; reference.candidates() < kCandidatesPerRun; ++i) {
+        const double expected = reference.Next();
+        ASSERT_EQ(generator.Next(), expected)
+            << c.name << " seed " << seed << " arrival " << i;
+      }
+      total_candidates += reference.candidates();
+    }
+  }
+  EXPECT_GE(total_candidates, 1000000u);
+}
+
+TEST(ArrivalGeneratorTest, CachedBurstLookupMatchesArrivalRateAtAtBoundaries) {
+  // RateAt answers from the cached cycle. At every phase and cycle boundary
+  // of the first 50 cycles, and 1..64 ulps to either side, it must give
+  // ArrivalRateAt's answer, and both must give the reference's. The queries
+  // step back and forth across cycle boundaries, so the cache moves both
+  // ways. In the 5/15/20 s cycle every multiple is an exact double; in the
+  // 0.1/0.2 s one some are not, and those cycles fall back to fmod.
+  struct Case {
+    std::vector<BurstPhase> phases;
+    bool exact_multiples;
+  };
+  const Case cases[] = {
+      {{{5.0, 1.0}, {15.0, 2.4}, {20.0, 1.0}}, true},
+      {{{0.1, 3.0}, {0.2, 0.5}}, false},
+  };
+  constexpr int kCycles = 50;
+  constexpr int kUlps = 64;
+  for (const Case& c : cases) {
+    const ArrivalConfig config = BurstConfig(1000.0, c.phases);
+    double cycle_sec = 0.0;
+    for (const BurstPhase& phase : c.phases) {
+      cycle_sec += phase.duration_sec;
+    }
+    int inexact = 0;
+    for (int n = 0; n <= kCycles; ++n) {
+      const double start = n * cycle_sec;
+      inexact += std::fma(n, cycle_sec, -start) != 0.0 ? 1 : 0;
+    }
+    EXPECT_EQ(inexact == 0, c.exact_multiples) << inexact;
+
+    ArrivalGenerator generator(config, Rng(1));
+    for (int n = 0; n <= kCycles; ++n) {
+      // Cycle n's start, then each later phase's start within it.
+      double boundary = n * cycle_sec;
+      for (size_t p = 0; p < c.phases.size(); ++p) {
+        double t = boundary;
+        for (int k = 0; k < kUlps; ++k) {
+          t = std::nextafter(t, -std::numeric_limits<double>::infinity());
+        }
+        for (int k = -kUlps; k <= kUlps; ++k) {
+          const double expected = serve_reference::RateAt(config, t);
+          ASSERT_EQ(ArrivalRateAt(config, t), expected)
+              << "cycle " << n << " boundary " << p << " ulps " << k;
+          ASSERT_EQ(generator.RateAt(t), expected)
+              << "cycle " << n << " boundary " << p << " ulps " << k;
+          t = std::nextafter(t, std::numeric_limits<double>::infinity());
+        }
+        boundary += c.phases[p].duration_sec;
+      }
+    }
+  }
+}
+
+TEST(ArrivalGeneratorDeathTest, BurstWithoutTrafficIsRejected) {
+  // PeakRate() floors the envelope at the base rate, so all-silent phases
+  // would reject every candidate and Next() would spin forever.
+  const ArrivalConfig config = BurstConfig(1000.0, {{1.0, 0.0}, {2.0, 0.0}});
+  EXPECT_DEATH(ArrivalGenerator(config, Rng(1)), "no traffic");
 }
 
 TEST(ArrivalGeneratorTest, EmpiricalRateMatchesConfiguredRate) {

@@ -233,6 +233,22 @@ TEST(TraceReplayTest, RejectsBadArrivalKindAndRanges) {
     }
   })";
   EXPECT_FALSE(ParseTraceReplay(kBadRate).ok());
+  // All-silent burst phases would leave the generator nothing to accept.
+  const char kSilentBurst[] = R"({
+    "schema": "copart-trace-v1",
+    "name": "x",
+    "reuse": {"components": [{"weight": 0.5, "working_set_bytes": 1048576}]},
+    "cpu": {"accesses_per_instr": 0.01, "cpi_exec": 1.0},
+    "serve": {
+      "instructions_per_request": 1000.0, "slo_p95_ms": 1.0,
+      "arrival": {"kind": "burst", "base_rate_rps": 100.0,
+                  "burst_phases": [{"duration_sec": 1.0, "rate_multiplier": 0.0},
+                                   {"duration_sec": 2.0, "rate_multiplier": 0.0}]}
+    }
+  })";
+  Result<TraceReplay> silent = ParseTraceReplay(kSilentBurst);
+  ASSERT_FALSE(silent.ok());
+  EXPECT_NE(silent.status().message().find("burst_phases"), std::string::npos);
 }
 
 TEST(TraceReplayTest, RejectsNonPositivePhaseDuration) {
