@@ -18,11 +18,11 @@ namespace {
 
 // One steepest transfer per period: the most-slowed demander takes its
 // demanded resource from the least-slowed supplier.
-MatchResult GreedySingleMove(const SystemState& state,
-                             const std::vector<MatchAppInfo>& apps, Rng& rng,
-                             bool enable_llc, bool enable_mba) {
-  MatchResult result;
-  result.next_state = state;
+void GreedySingleMove(const SystemState& state,
+                      const std::vector<MatchAppInfo>& apps, Rng& rng,
+                      bool enable_llc, bool enable_mba, MatchResult* result) {
+  result->next_state = state;
+  result->transfers.clear();
   double best_gap = 0.0;
   ssize_t best_producer = -1, best_consumer = -1;
   bool best_is_llc = false;
@@ -55,9 +55,9 @@ MatchResult GreedySingleMove(const SystemState& state,
     }
   }
   if (best_producer >= 0) {
-    AppAllocation& from = result.next_state.allocation(
+    AppAllocation& from = result->next_state.allocation(
         static_cast<size_t>(best_producer));
-    AppAllocation& to = result.next_state.allocation(
+    AppAllocation& to = result->next_state.allocation(
         static_cast<size_t>(best_consumer));
     if (best_is_llc) {
       --from.llc_ways;
@@ -66,11 +66,10 @@ MatchResult GreedySingleMove(const SystemState& state,
       from.mba_level = from.mba_level.Decreased();
       to.mba_level = to.mba_level.Increased();
     }
-    result.transfers.push_back({best_is_llc,
-                                static_cast<size_t>(best_producer),
-                                static_cast<size_t>(best_consumer)});
+    result->transfers.push_back({best_is_llc,
+                                 static_cast<size_t>(best_producer),
+                                 static_cast<size_t>(best_consumer)});
   }
-  return result;
 }
 
 }  // namespace

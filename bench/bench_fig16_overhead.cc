@@ -31,8 +31,11 @@ void BM_GetNextSystemState(benchmark::State& state) {
     infos[i].llc_class = classes[i % 3];
     infos[i].mba_class = classes[(i + 1) % 3];
   }
+  MatchResult result;
+  result.Reserve(num_apps);
   for (auto _ : state) {
-    MatchResult result = GetNextSystemState(system_state, infos, rng);
+    GetNextSystemState(system_state, infos, rng, /*enable_llc=*/true,
+                       /*enable_mba=*/true, &result);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -53,8 +56,9 @@ void BM_RandomNeighbor(benchmark::State& state) {
                           .max_mba_percent = 100};
   Rng rng(777);
   const SystemState system_state = SystemState::EqualShare(pool, num_apps);
+  SystemState next;
   for (auto _ : state) {
-    SystemState next = system_state.RandomNeighbor(rng, true, true);
+    system_state.RandomNeighbor(rng, true, true, &next);
     benchmark::DoNotOptimize(next);
   }
 }

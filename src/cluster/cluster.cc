@@ -26,6 +26,7 @@ Result<AppId> ClusterNode::Admit(const WorkloadDescriptor& workload,
     RollbackLaunch(*app);
     return added;
   }
+  ReserveRoom(slowdowns_, machine_.NumApps());
   return app;
 }
 
@@ -41,6 +42,7 @@ Result<AppId> ClusterNode::AdmitLatencyCritical(
     RollbackLaunch(*app);
     return registered;
   }
+  ReserveRoom(slowdowns_, machine_.NumApps());
   return app;
 }
 
@@ -85,20 +87,25 @@ std::vector<WorkloadDescriptor> ClusterNode::ResidentWorkloads() const {
   return workloads;
 }
 
-std::vector<double> ClusterNode::CurrentSlowdowns() const {
-  std::vector<double> slowdowns;
-  for (AppId app : machine_.ListApps()) {
-    const double ips = machine_.LastEpoch(app).ips;
+void ClusterNode::CurrentSlowdownsInto(std::vector<double>* slowdowns) const {
+  slowdowns->clear();
+  for (size_t i = 0; i < machine_.NumApps(); ++i) {
+    const double ips = machine_.LastEpochAt(i).ips;
     if (ips > 0.0) {
-      slowdowns.push_back(Slowdown(machine_.SoloIps(app), ips));
+      slowdowns->push_back(Slowdown(machine_.SoloIpsAt(i), ips));
     }
   }
+}
+
+std::vector<double> ClusterNode::CurrentSlowdowns() const {
+  std::vector<double> slowdowns;
+  CurrentSlowdownsInto(&slowdowns);
   return slowdowns;
 }
 
-double ClusterNode::CurrentUnfairness() const {
-  const std::vector<double> slowdowns = CurrentSlowdowns();
-  return Unfairness(slowdowns);
+double ClusterNode::CurrentUnfairness() {
+  CurrentSlowdownsInto(&slowdowns_);
+  return Unfairness(slowdowns_);
 }
 
 }  // namespace copart

@@ -54,9 +54,12 @@ class ClusterNode {
   // Workload descriptors of everything currently resident.
   std::vector<WorkloadDescriptor> ResidentWorkloads() const;
 
-  // Ground-truth metrics from the machine model.
+  // Ground-truth metrics from the machine model: every resident's Eq. 1
+  // slowdown over the last epoch (apps that have not run yet are skipped),
+  // and their Eq. 2 unfairness. CurrentUnfairness reuses a buffer of this
+  // node's, so the per-tick call does not allocate.
   std::vector<double> CurrentSlowdowns() const;
-  double CurrentUnfairness() const;
+  double CurrentUnfairness();
 
   SimulatedMachine& machine() { return machine_; }
   const SimulatedMachine& machine() const { return machine_; }
@@ -73,6 +76,8 @@ class ClusterNode {
  private:
   // Terminates a half-admitted app; quarantines it if the kill fails.
   void RollbackLaunch(AppId app);
+  // Writes CurrentSlowdowns() into `*slowdowns`.
+  void CurrentSlowdownsInto(std::vector<double>* slowdowns) const;
 
   std::string name_;
   SimulatedMachine machine_;
@@ -80,6 +85,8 @@ class ClusterNode {
   PerfMonitor monitor_;
   ResourceManager manager_;
   std::vector<AppId> quarantined_apps_;
+  // CurrentUnfairness's slowdowns.
+  std::vector<double> slowdowns_;
 };
 
 }  // namespace copart

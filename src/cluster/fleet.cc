@@ -575,7 +575,8 @@ void FleetController::RollbackMigration(FleetJobId job_id,
 
 void FleetController::PlanMigrations() {
   // Unhealthy sources, worst unfairness first (ties: lowest index).
-  std::vector<size_t> sources;
+  std::vector<size_t>& sources = migration_sources_;
+  sources.clear();
   for (size_t i = 0; i < nodes_.size(); ++i) {
     const FleetNodeStatus& s = status_[i];
     if (s.health == NodeHealth::kAlive &&
@@ -625,7 +626,8 @@ void FleetController::PlanMigrations() {
     FleetJob& job = jobs_[victim];
 
     // Feasible targets, least-loaded first, capped at the scoring fan-out.
-    std::vector<size_t> candidates;
+    std::vector<size_t>& candidates = migration_candidates_;
+    candidates.clear();
     for (size_t t = 0; t < nodes_.size(); ++t) {
       if (t == source || status_[t].fault_active ||
           status_[t].migration_cooldown > 0 ||

@@ -314,6 +314,10 @@ class FleetController {
   // CheckInvariants' per-node census, the apps of each node's residents.
   // Rebuilt by every check; a member only so its storage is reused.
   std::vector<std::vector<AppId>> census_;
+  // PlanMigrations' unhealthy sources and one victim's candidate targets;
+  // members only so their storage is reused.
+  std::vector<size_t> migration_sources_;
+  std::vector<size_t> migration_candidates_;
   FleetCounters counters_;
   uint64_t epoch_ = 0;
   uint64_t node_ticks_ = 0;

@@ -27,7 +27,7 @@ void FaultInjector::Arm(std::string_view point, const FaultSpec& spec) {
 }
 
 void FaultInjector::Disarm(std::string_view point) {
-  auto it = points_.find(std::string(point));
+  auto it = points_.find(point);
   if (it != points_.end()) {
     points_.erase(it);
   }
@@ -40,7 +40,7 @@ bool FaultInjector::ShouldFail(std::string_view point) {
   if (points_.empty()) {
     return false;
   }
-  auto it = points_.find(std::string(point));
+  auto it = points_.find(point);
   if (it == points_.end()) {
     return false;
   }
@@ -74,12 +74,12 @@ bool FaultInjector::ShouldFail(std::string_view point) {
 }
 
 uint64_t FaultInjector::PointQueries(std::string_view point) const {
-  auto it = points_.find(std::string(point));
+  auto it = points_.find(point);
   return it == points_.end() ? 0 : it->second.queries;
 }
 
 uint64_t FaultInjector::PointFailures(std::string_view point) const {
-  auto it = points_.find(std::string(point));
+  auto it = points_.find(point);
   return it == points_.end() ? 0 : it->second.failures;
 }
 

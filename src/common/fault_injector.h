@@ -31,7 +31,9 @@
 #ifndef COPART_COMMON_FAULT_INJECTOR_H_
 #define COPART_COMMON_FAULT_INJECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -125,10 +127,20 @@ class FaultInjector {
     uint32_t burst_remaining = 0;
   };
 
+  // Hashes a point name the way std::hash<std::string> does, but accepts
+  // a std::string_view too, so a lookup builds no temporary string.
+  struct PointNameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   uint64_t seed_;
   uint64_t total_queries_ = 0;
   uint64_t total_failures_ = 0;
-  std::unordered_map<std::string, PointState> points_;
+  std::unordered_map<std::string, PointState, PointNameHash, std::equal_to<>>
+      points_;
 };
 
 }  // namespace copart

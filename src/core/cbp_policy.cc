@@ -15,11 +15,11 @@ void CbpPolicy::OnAppRemoved(size_t index) {
   throttled_.erase(throttled_.begin() + static_cast<ptrdiff_t>(index));
 }
 
-PartitionDecision CbpPolicy::Allocate(
-    const SystemState& current, const std::vector<PolicySignals>& signals,
-    Rng& rng) {
-  PartitionDecision decision = LfocPolicy::Allocate(current, signals, rng);
-  decision.prefetch_percent.resize(throttled_.size());
+void CbpPolicy::Allocate(const SystemState& current,
+                         const std::vector<PolicySignals>& signals, Rng& rng,
+                         PartitionDecision* decision) {
+  LfocPolicy::Allocate(current, signals, rng, decision);
+  decision->prefetch_percent.resize(throttled_.size());
   bool flipped = false;
   for (size_t i = 0; i < throttled_.size(); ++i) {
     const bool was_throttled = throttled_[i];
@@ -33,16 +33,15 @@ PartitionDecision CbpPolicy::Allocate(
       throttled_[i] = false;
     }
     flipped = flipped || throttled_[i] != was_throttled;
-    decision.prefetch_percent[i] =
+    decision->prefetch_percent[i] =
         throttled_[i] ? params_.cbp.throttled_prefetch_percent : 100u;
   }
   if (flipped) {
     // A parked decision is never actuated, so a throttle that flips here
     // must land first: the decision is unstable.
-    decision.converged = false;
+    decision->converged = false;
     stable_decisions_ = 0;
   }
-  return decision;
 }
 
 }  // namespace copart

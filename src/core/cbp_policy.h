@@ -30,9 +30,9 @@ class CbpPolicy : public LfocPolicy {
   void OnAppAdded() override;
   void OnAppRemoved(size_t index) override;
 
-  PartitionDecision Allocate(const SystemState& current,
-                             const std::vector<PolicySignals>& signals,
-                             Rng& rng) override;
+  void Allocate(const SystemState& current,
+                const std::vector<PolicySignals>& signals, Rng& rng,
+                PartitionDecision* decision) override;
 
  private:
   std::vector<bool> throttled_;

@@ -19,11 +19,13 @@ struct MatchAppInfo;
 struct MatchResult;
 class Rng;
 
-// Signature of the allocation step (Algorithm 2). Overridable so ablation
-// studies can swap the HR matcher for alternatives (bench_ablation_matching).
-using MatchFunction = std::function<MatchResult(
+// Signature of the allocation step (Algorithm 2), GetNextSystemState's:
+// it writes the next state into the caller's MatchResult. Overridable so
+// ablation studies can swap the HR matcher for alternatives
+// (bench_ablation_matching).
+using MatchFunction = std::function<void(
     const SystemState& state, const std::vector<MatchAppInfo>& apps, Rng& rng,
-    bool enable_llc, bool enable_mba)>;
+    bool enable_llc, bool enable_mba, MatchResult* result)>;
 
 struct ClassifierParams {
   // alpha: LLC access-rate floor (accesses/s). Below it the app has no use

@@ -26,6 +26,10 @@ std::string CoPartPartitionPolicy::name() const {
 void CoPartPartitionPolicy::OnAppAdded() {
   apps_.push_back(AppState{.llc_fsm = LlcClassifierFsm(params_.classifier),
                            .mba_fsm = MbaClassifierFsm(params_.classifier)});
+  ReserveRoom(infos_, apps_.size());
+  ReserveRoom(llc_events_, apps_.size());
+  ReserveRoom(mba_events_, apps_.size());
+  match_.Reserve(apps_.size());
 }
 
 void CoPartPartitionPolicy::OnAppRemoved(size_t index) {
@@ -76,8 +80,9 @@ void CoPartPartitionPolicy::ObserveProbeSkipped(size_t app) {
   apps_[app].mba_initial = ResourceClass::kMaintain;
 }
 
-PartitionDecision CoPartPartitionPolicy::StartExploration(
-    const ResourcePool& pool, size_t num_apps) {
+void CoPartPartitionPolicy::StartExploration(const ResourcePool& pool,
+                                             size_t num_apps,
+                                             PartitionDecision* decision) {
   CHECK_EQ(num_apps, apps_.size());
   retry_count_ = 0;
   for (AppState& app : apps_) {
@@ -87,11 +92,12 @@ PartitionDecision CoPartPartitionPolicy::StartExploration(
   llc_events_.assign(apps_.size(), ResourceEvent::kNone);
   mba_events_.assign(apps_.size(), ResourceEvent::kNone);
   infos_.assign(apps_.size(), MatchAppInfo{});
-  return FairShare(pool, num_apps);
+  FairShare(pool, num_apps, decision);
 }
 
-PartitionDecision CoPartPartitionPolicy::FairShare(const ResourcePool& pool,
-                                                   size_t num_apps) const {
+void CoPartPartitionPolicy::FairShare(const ResourcePool& pool,
+                                      size_t num_apps,
+                                      PartitionDecision* decision) const {
   // Exploration starts from equal ways. When MBA partitioning is dynamic the
   // levels start at the pool ceiling (the hardware reset state): Supply apps
   // are throttled *down* from there, and a level-up for a consumer is paired
@@ -99,10 +105,10 @@ PartitionDecision CoPartPartitionPolicy::FairShare(const ResourcePool& pool,
   // producer/consumer formulation. When MBA moves are disabled (the
   // CAT-only baseline's "equal memory bandwidth partitioning"), the levels
   // are frozen at the equal static share instead.
-  if (mba_moves()) {
-    return MakePerAppDecision(SystemState::EqualShare(pool, num_apps));
-  }
-  return MakePerAppDecision(SystemState::EqualShareThrottled(pool, num_apps));
+  decision->state = mba_moves()
+                        ? SystemState::EqualShare(pool, num_apps)
+                        : SystemState::EqualShareThrottled(pool, num_apps);
+  MakePerAppDecision(decision);
 }
 
 void CoPartPartitionPolicy::Classify(
@@ -146,30 +152,35 @@ void CoPartPartitionPolicy::Classify(
   }
 }
 
-PartitionDecision CoPartPartitionPolicy::Allocate(
-    const SystemState& current, const std::vector<PolicySignals>& signals,
-    Rng& rng) {
+void CoPartPartitionPolicy::Allocate(const SystemState& current,
+                                     const std::vector<PolicySignals>& signals,
+                                     Rng& rng, PartitionDecision* decision) {
   (void)signals;  // Consumed by Classify; infos_ carries what the matcher
                   // needs.
-  MatchResult match =
-      params_.matcher
-          ? params_.matcher(current, infos_, rng, llc_moves(), mba_moves())
-          : GetNextSystemState(current, infos_, rng, llc_moves(),
-                               mba_moves());
+  CHECK(&decision->state != &current);
+  if (params_.matcher) {
+    params_.matcher(current, infos_, rng, llc_moves(), mba_moves(), &match_);
+  } else {
+    GetNextSystemState(current, infos_, rng, llc_moves(), mba_moves(),
+                       &match_);
+  }
 
-  SystemState next = match.next_state;
+  SystemState& next = decision->state;
   bool used_neighbor = false;
-  if (next == current) {
+  if (match_.next_state == current) {
     if (retry_count_ < params_.theta) {
-      next = current.RandomNeighbor(rng, llc_moves(), mba_moves());
+      current.RandomNeighbor(rng, llc_moves(), mba_moves(), &next);
       used_neighbor = true;
       ++retry_count_;
     } else {
-      PartitionDecision decision = MakePerAppDecision(current);
-      decision.converged = true;
-      decision.retries = retry_count_;
-      return decision;
+      next = current;
+      MakePerAppDecision(decision);
+      decision->converged = true;
+      decision->retries = retry_count_;
+      return;
     }
+  } else {
+    next = match_.next_state;
   }
 
   // Derive per-app resource events from the state diff; they feed the FSMs
@@ -197,10 +208,9 @@ PartitionDecision CoPartPartitionPolicy::Allocate(
     }
   }
 
-  PartitionDecision decision = MakePerAppDecision(std::move(next));
-  decision.used_neighbor = used_neighbor;
-  decision.retries = retry_count_;
-  return decision;
+  MakePerAppDecision(decision);
+  decision->used_neighbor = used_neighbor;
+  decision->retries = retry_count_;
 }
 
 ResourceClass CoPartPartitionPolicy::LlcClassOf(size_t app) const {

@@ -41,15 +41,15 @@ class CoPartPartitionPolicy : public PartitionPolicy {
                     const ProbeSignal& signal) override;
   void ObserveProbeSkipped(size_t app) override;
 
-  PartitionDecision StartExploration(const ResourcePool& pool,
-                                     size_t num_apps) override;
-  PartitionDecision FairShare(const ResourcePool& pool,
-                              size_t num_apps) const override;
+  void StartExploration(const ResourcePool& pool, size_t num_apps,
+                        PartitionDecision* decision) override;
+  void FairShare(const ResourcePool& pool, size_t num_apps,
+                 PartitionDecision* decision) const override;
 
   void Classify(const std::vector<PolicySignals>& signals) override;
-  PartitionDecision Allocate(const SystemState& current,
-                             const std::vector<PolicySignals>& signals,
-                             Rng& rng) override;
+  void Allocate(const SystemState& current,
+                const std::vector<PolicySignals>& signals, Rng& rng,
+                PartitionDecision* decision) override;
 
   ResourceClass LlcClassOf(size_t app) const override;
   ResourceClass MbaClassOf(size_t app) const override;
@@ -74,6 +74,8 @@ class CoPartPartitionPolicy : public PartitionPolicy {
   // Resource events of the last adopted transition; FSM inputs next period.
   std::vector<ResourceEvent> llc_events_;
   std::vector<ResourceEvent> mba_events_;
+  // The matcher's output and working storage, reused every period.
+  MatchResult match_;
   int retry_count_ = 0;
 };
 

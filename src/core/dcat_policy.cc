@@ -12,19 +12,20 @@ void DcatPolicy::OnAppRemoved(size_t index) {
   apps_.erase(apps_.begin() + static_cast<ptrdiff_t>(index));
 }
 
-PartitionDecision DcatPolicy::StartExploration(const ResourcePool& pool,
-                                               size_t num_apps) {
+void DcatPolicy::StartExploration(const ResourcePool& pool, size_t num_apps,
+                                  PartitionDecision* decision) {
   CHECK_EQ(num_apps, apps_.size());
   apps_.assign(num_apps, AppState{});
   tick_ = 0;
-  return FairShare(pool, num_apps);
+  FairShare(pool, num_apps, decision);
 }
 
-PartitionDecision DcatPolicy::FairShare(const ResourcePool& pool,
-                                        size_t num_apps) const {
+void DcatPolicy::FairShare(const ResourcePool& pool, size_t num_apps,
+                           PartitionDecision* decision) const {
   // Equal LLC start; MBA frozen at the equal static share (dCat does not
   // manage bandwidth).
-  return MakePerAppDecision(SystemState::EqualShareThrottled(pool, num_apps));
+  decision->state = SystemState::EqualShareThrottled(pool, num_apps);
+  MakePerAppDecision(decision);
 }
 
 void DcatPolicy::Classify(const std::vector<PolicySignals>& signals) {
@@ -54,13 +55,15 @@ void DcatPolicy::Classify(const std::vector<PolicySignals>& signals) {
   }
 }
 
-PartitionDecision DcatPolicy::Allocate(
-    const SystemState& current, const std::vector<PolicySignals>& /*signals*/,
-    Rng& /*rng*/) {
+void DcatPolicy::Allocate(const SystemState& current,
+                          const std::vector<PolicySignals>& /*signals*/,
+                          Rng& /*rng*/, PartitionDecision* decision) {
   CHECK_EQ(current.NumApps(), apps_.size());
   ++tick_;
   const size_t n = apps_.size();
-  SystemState next = current;
+  decision->state = current;
+  MakePerAppDecision(decision);
+  SystemState& next = decision->state;
 
   // Cold-start probe: cycle a way to each app in turn (taken from the
   // currently largest allocation) so every benefit estimate receives a
@@ -84,7 +87,7 @@ PartitionDecision DcatPolicy::Allocate(
       apps_[static_cast<size_t>(donor)].last_delta_ways = -1;
       apps_[target].last_delta_ways = 1;
     }
-    return MakePerAppDecision(std::move(next));
+    return;
   }
 
   // Steepest feasible transfer: the highest estimated gainer takes one way
@@ -102,7 +105,7 @@ PartitionDecision DcatPolicy::Allocate(
     }
   }
   if (gainer < 0 || loser < 0 || gainer == loser) {
-    return MakePerAppDecision(std::move(next));
+    return;
   }
   AppState& gain_app = apps_[static_cast<size_t>(gainer)];
   AppState& lose_app = apps_[static_cast<size_t>(loser)];
@@ -114,7 +117,6 @@ PartitionDecision DcatPolicy::Allocate(
     gain_app.last_delta_ways = 1;
     lose_app.last_delta_ways = -1;
   }
-  return MakePerAppDecision(std::move(next));
 }
 
 }  // namespace copart

@@ -43,15 +43,15 @@ class DcatPolicy : public PartitionPolicy {
   void OnAppAdded() override;
   void OnAppRemoved(size_t index) override;
 
-  PartitionDecision StartExploration(const ResourcePool& pool,
-                                     size_t num_apps) override;
-  PartitionDecision FairShare(const ResourcePool& pool,
-                              size_t num_apps) const override;
+  void StartExploration(const ResourcePool& pool, size_t num_apps,
+                        PartitionDecision* decision) override;
+  void FairShare(const ResourcePool& pool, size_t num_apps,
+                 PartitionDecision* decision) const override;
 
   void Classify(const std::vector<PolicySignals>& signals) override;
-  PartitionDecision Allocate(const SystemState& current,
-                             const std::vector<PolicySignals>& signals,
-                             Rng& rng) override;
+  void Allocate(const SystemState& current,
+                const std::vector<PolicySignals>& signals, Rng& rng,
+                PartitionDecision* decision) override;
 
   ResourceClass LlcClassOf(size_t /*app*/) const override {
     return ResourceClass::kMaintain;

@@ -1,21 +1,29 @@
 #include "core/hr_matching.h"
 
 #include <algorithm>
-#include <deque>
+#include <initializer_list>
 
 #include "common/logging.h"
 
 namespace copart {
 namespace {
 
-enum ResourceType : size_t { kLlc = 0, kMba = 1, kAny = 2, kNumTypes = 3 };
+using Workspace = MatchResult::Workspace;
+using Consumer = Workspace::Consumer;
+using ResourceType = Workspace::Resource;
+constexpr ResourceType kLlc = Workspace::kLlc;
+constexpr ResourceType kMba = Workspace::kMba;
+constexpr ResourceType kAny = Workspace::kAny;
+constexpr size_t kNumTypes = Workspace::kNumResources;
 
-struct Consumer {
-  size_t app = 0;
-  double slowdown = 1.0;
-  ResourceType demanded = kAny;          // What the app's FSMs demand.
-  std::deque<ResourceType> preferences;  // Hospitals left to propose to.
-};
+void SetPreferences(Consumer& consumer,
+                    std::initializer_list<ResourceType> preferences) {
+  consumer.count = 0;
+  for (const ResourceType t : preferences) {
+    consumer.preferences[consumer.count++] = t;
+  }
+  consumer.next = 0;
+}
 
 // Removes and returns the index (into `members`) of the extreme-slowdown
 // element; `lowest` selects min (victims / producers) vs. max.
@@ -36,13 +44,32 @@ size_t ExtremeIndex(const std::vector<size_t>& members,
 
 }  // namespace
 
-MatchResult GetNextSystemState(const SystemState& state,
-                               const std::vector<MatchAppInfo>& apps,
-                               Rng& rng, bool enable_llc, bool enable_mba) {
+void MatchResult::Reserve(size_t num_apps) {
+  next_state.Reserve(num_apps);
+  ReserveRoom(transfers, num_apps);
+  ReserveRoom(workspace.consumers, num_apps);
+  for (size_t t = 0; t < kNumTypes; ++t) {
+    ReserveRoom(workspace.producers[t], num_apps);
+    ReserveRoom(workspace.accepted[t], num_apps);
+  }
+}
+
+void GetNextSystemState(const SystemState& state,
+                        const std::vector<MatchAppInfo>& apps, Rng& rng,
+                        bool enable_llc, bool enable_mba,
+                        MatchResult* result) {
   CHECK_EQ(apps.size(), state.NumApps());
-  MatchResult result;
-  result.next_state = state;
-  SystemState& next = result.next_state;
+  result->next_state = state;
+  result->transfers.clear();
+  SystemState& next = result->next_state;
+  std::vector<size_t>* producers = result->workspace.producers;
+  std::vector<Consumer>& consumers = result->workspace.consumers;
+  std::vector<size_t>* accepted = result->workspace.accepted;
+  consumers.clear();
+  for (size_t t = 0; t < kNumTypes; ++t) {
+    producers[t].clear();
+    accepted[t].clear();
+  }
   const size_t n = apps.size();
 
   // --- Bucket the producers (Algorithm 2, lines 2-5). ---
@@ -50,7 +77,6 @@ MatchResult GetNextSystemState(const SystemState& state,
   // an app that can supply both is an ANY producer. Feasibility is part of
   // eligibility: an app at 1 way cannot give a way, an app at the MBA floor
   // cannot throttle further.
-  std::vector<size_t> producers[kNumTypes];
   for (size_t i = 0; i < n; ++i) {
     const bool supplies_llc = enable_llc &&
                               apps[i].llc_class == ResourceClass::kSupply &&
@@ -68,7 +94,6 @@ MatchResult GetNextSystemState(const SystemState& state,
   }
 
   // --- Build the consumers and their preference lists (lines 6-18). ---
-  std::vector<Consumer> consumers;
   for (size_t i = 0; i < n; ++i) {
     const bool can_take_mba =
         state.allocation(i).mba_level.percent() + MbaLevel::kStep <=
@@ -89,34 +114,32 @@ MatchResult GetNextSystemState(const SystemState& state,
       // Randomized priority between the two specific types (paper: avoids
       // converging to a local optimum), then the ANY hospital.
       if (rng.NextBool(0.5)) {
-        consumer.preferences = {kLlc, kMba, kAny};
+        SetPreferences(consumer, {kLlc, kMba, kAny});
       } else {
-        consumer.preferences = {kMba, kLlc, kAny};
+        SetPreferences(consumer, {kMba, kLlc, kAny});
       }
     } else if (demands_llc) {
       consumer.demanded = kLlc;
-      consumer.preferences = {kLlc, kAny};
+      SetPreferences(consumer, {kLlc, kAny});
     } else {
       consumer.demanded = kMba;
-      consumer.preferences = {kMba, kAny};
+      SetPreferences(consumer, {kMba, kAny});
     }
-    consumers.push_back(std::move(consumer));
+    consumers.push_back(consumer);
   }
 
   // --- Step 1: decide which consumers receive which resource type. ---
   // Proposal with displacement: an oversubscribed hospital rejects its
   // lowest-slowdown tentative resident, who then proposes further down its
   // own preference list (instability chaining).
-  std::vector<size_t> accepted[kNumTypes];  // Indices into `consumers`.
   for (size_t c = 0; c < consumers.size(); ++c) {
     size_t current = c;
     while (true) {
       Consumer& consumer = consumers[current];
-      if (consumer.preferences.empty()) {
+      if (consumer.next == consumer.count) {
         break;  // Exhausted all hospitals; stays unmatched this round.
       }
-      const ResourceType t = consumer.preferences.front();
-      consumer.preferences.pop_front();
+      const ResourceType t = consumer.preferences[consumer.next++];
       if (producers[t].empty()) {
         continue;  // Hospital with zero capacity: try the next preference.
       }
@@ -186,13 +209,12 @@ MatchResult GetNextSystemState(const SystemState& state,
         from.mba_level = from.mba_level.Decreased();
         to.mba_level = to.mba_level.Increased();
       }
-      result.transfers.push_back(
+      result->transfers.push_back(
           {.is_llc = take_llc, .producer = producer, .consumer = consumer.app});
     }
   }
 
   CHECK(next.Valid()) << "matcher produced invalid state " << next.ToString();
-  return result;
 }
 
 }  // namespace copart

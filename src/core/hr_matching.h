@@ -16,6 +16,7 @@
 #define COPART_CORE_HR_MATCHING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,20 +40,44 @@ struct ResourceTransfer {
   size_t consumer = 0;
 };
 
+// One matcher call's output. The caller owns it and passes the same object
+// every period: a call overwrites every field and reuses the storage,
+// including the matcher's working buffers, so once Reserve() has sized it
+// for the app count a call allocates nothing.
 struct MatchResult {
   SystemState next_state;
   std::vector<ResourceTransfer> transfers;
+
+  // GetNextSystemState's working storage; unspecified between calls.
+  struct Workspace {
+    enum Resource : uint8_t { kLlc = 0, kMba = 1, kAny = 2, kNumResources };
+    struct Consumer {
+      size_t app = 0;
+      double slowdown = 1.0;
+      Resource demanded = kAny;  // What the app's FSMs demand.
+      // Hospitals left to propose to: preferences[next, count).
+      Resource preferences[kNumResources] = {kAny, kAny, kAny};
+      uint8_t next = 0;
+      uint8_t count = 0;
+    };
+    std::vector<size_t> producers[kNumResources];
+    std::vector<Consumer> consumers;
+    std::vector<size_t> accepted[kNumResources];  // Indices into consumers.
+  };
+  Workspace workspace;
+
+  // Sizes every buffer for a matching over `num_apps` apps.
+  void Reserve(size_t num_apps);
 };
 
 // Computes the next system state from the current state and the per-app
-// classifications. Gates: `enable_llc` / `enable_mba` restrict which
-// resource types may move (used by the CAT-only / MBA-only baselines).
-// The returned state is always Valid(); it equals `state` when no
-// producer/consumer pair can be matched.
-MatchResult GetNextSystemState(const SystemState& state,
-                               const std::vector<MatchAppInfo>& apps,
-                               Rng& rng, bool enable_llc = true,
-                               bool enable_mba = true);
+// classifications into `*result`. Gates: `enable_llc` / `enable_mba`
+// restrict which resource types may move (used by the CAT-only / MBA-only
+// baselines). The resulting state is always Valid(); it equals `state` when
+// no producer/consumer pair can be matched.
+void GetNextSystemState(const SystemState& state,
+                        const std::vector<MatchAppInfo>& apps, Rng& rng,
+                        bool enable_llc, bool enable_mba, MatchResult* result);
 
 }  // namespace copart
 

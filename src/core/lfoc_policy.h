@@ -54,15 +54,15 @@ class LfocPolicy : public PartitionPolicy {
   void OnAppAdded() override;
   void OnAppRemoved(size_t index) override;
 
-  PartitionDecision StartExploration(const ResourcePool& pool,
-                                     size_t num_apps) override;
-  PartitionDecision FairShare(const ResourcePool& pool,
-                              size_t num_apps) const override;
+  void StartExploration(const ResourcePool& pool, size_t num_apps,
+                        PartitionDecision* decision) override;
+  void FairShare(const ResourcePool& pool, size_t num_apps,
+                 PartitionDecision* decision) const override;
 
   void Classify(const std::vector<PolicySignals>& signals) override;
-  PartitionDecision Allocate(const SystemState& current,
-                             const std::vector<PolicySignals>& signals,
-                             Rng& rng) override;
+  void Allocate(const SystemState& current,
+                const std::vector<PolicySignals>& signals, Rng& rng,
+                PartitionDecision* decision) override;
 
   ResourceClass LlcClassOf(size_t app) const override;
   ResourceClass MbaClassOf(size_t app) const override;
@@ -90,8 +90,18 @@ class LfocPolicy : public PartitionPolicy {
   int stable_decisions_ = 0;
 
  private:
-  // The clustered decision for this period's classes and pressures.
-  PartitionDecision Cluster(const ResourcePool& pool);
+  // Writes the clustered decision for this period's classes and pressures.
+  void Cluster(const ResourcePool& pool, PartitionDecision* decision);
+
+  // Cluster's working storage, sized in OnAppAdded (every list holds at
+  // most one entry per app). Contents are unspecified between calls.
+  std::vector<size_t> lights_, streams_, sens_;
+  // Sensitive apps, highest pressure first; cluster c is a contiguous run.
+  std::vector<size_t> order_;
+  std::vector<uint32_t> cluster_ways_;
+  std::vector<double> weight_;
+  std::vector<double> fraction_;
+  std::vector<uint32_t> by_fraction_;
 };
 
 }  // namespace copart

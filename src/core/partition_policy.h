@@ -75,6 +75,10 @@ struct ProbeSignal {
 // policies). `prefetch_percent` is the optional third actuator: empty
 // leaves every app's prefetcher untouched, otherwise one 0..100 (step 10)
 // value per app.
+//
+// The driver owns the decision and hands the same one to every policy call
+// that decides; the policy overwrites every field in place, so the vectors
+// keep their storage from period to period.
 struct PartitionDecision {
   SystemState state;
   std::vector<uint32_t> app_slot;
@@ -86,15 +90,23 @@ struct PartitionDecision {
   bool converged = false;
   bool used_neighbor = false;
   int retries = 0;
+
+  // Empties the prefetch writes and clears the exploration flags, keeping
+  // the storage. Every decision a policy writes starts from here.
+  void ClearExtras() {
+    prefetch_percent.clear();
+    converged = false;
+    used_neighbor = false;
+    retries = 0;
+  }
 };
 
-// Builds the identity-mapped (per-app) decision for `state`.
-inline PartitionDecision MakePerAppDecision(SystemState state) {
-  PartitionDecision decision;
-  decision.app_slot.resize(state.NumApps());
-  std::iota(decision.app_slot.begin(), decision.app_slot.end(), 0u);
-  decision.state = std::move(state);
-  return decision;
+// Makes `decision` the identity-mapped (per-app) decision over its own
+// state: slot i is app i, and ClearExtras().
+inline void MakePerAppDecision(PartitionDecision* decision) {
+  decision->app_slot.resize(decision->state.NumApps());
+  std::iota(decision->app_slot.begin(), decision->app_slot.end(), 0u);
+  decision->ClearExtras();
 }
 
 class PartitionPolicy {
@@ -126,25 +138,29 @@ class PartitionPolicy {
   // The app was quarantined mid-profile; adopt conservative defaults.
   virtual void ObserveProbeSkipped(size_t /*app*/) {}
 
-  // Resets exploration state and returns the opening decision. The driver
+  // The methods below write a decision into `*decision`, which the caller
+  // owns and which must not alias `current`. A policy sizes its own
+  // buffers in OnAppAdded, so that a steady Allocate allocates nothing.
+
+  // Resets exploration state and writes the opening decision. The driver
   // actuates it and starts feeding Classify/Allocate each period — unless
   // the decision is converged, in which case the driver parks in idle.
-  virtual PartitionDecision StartExploration(const ResourcePool& pool,
-                                             size_t num_apps) = 0;
+  virtual void StartExploration(const ResourcePool& pool, size_t num_apps,
+                                PartitionDecision* decision) = 0;
 
   // The safest static decision for the pool — what the degraded phase pins
   // and what profiling/adaptation starts from. Must not consume RNG.
-  virtual PartitionDecision FairShare(const ResourcePool& pool,
-                                      size_t num_apps) const = 0;
+  virtual void FairShare(const ResourcePool& pool, size_t num_apps,
+                         PartitionDecision* decision) const = 0;
 
   // Feeds one period's signals (index-parallel with the driver's apps_).
   virtual void Classify(const std::vector<PolicySignals>& signals) = 0;
 
-  // Produces the next decision given the currently actuated state. May
+  // Writes the next decision given the currently actuated state. May
   // consume `rng` (the draw order is part of the deterministic surface).
-  virtual PartitionDecision Allocate(const SystemState& current,
-                                     const std::vector<PolicySignals>& signals,
-                                     Rng& rng) = 0;
+  virtual void Allocate(const SystemState& current,
+                        const std::vector<PolicySignals>& signals, Rng& rng,
+                        PartitionDecision* decision) = 0;
 
   // Latest per-app classes for telemetry and the public LlcClass/MbaClass
   // accessors (what the allocator saw or will see this period).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
 #include <utility>
 
 #include "common/logging.h"
@@ -34,6 +35,7 @@ ResourceManager::ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
     : resctrl_(resctrl),
       monitor_(monitor),
       params_(params),
+      throttle_(resctrl->machine().config().mba_cap_exponent),
       rng_(params.seed),
       backoff_(BackoffOptions{.initial = params.actuation.backoff_initial_periods,
                               .multiplier = params.actuation.backoff_multiplier,
@@ -129,6 +131,7 @@ Status ResourceManager::AddApp(AppId app) {
 
   apps_.push_back(ManagedApp{.id = app, .group = app_group});
   policy_->OnAppAdded();
+  ReserveTickBuffers();
   last_seen_generation_ = resctrl_->machine().app_generation();
   if (phase_ != Phase::kDegraded) {
     StartAdaptation();
@@ -136,7 +139,7 @@ Status ResourceManager::AddApp(AppId app) {
     // In the degraded phase the next fair-share apply covers the newcomer;
     // adaptation restarts only after the substrate recovers. Keep state_
     // sized to the live app set in the meantime.
-    AdoptDecision(policy_->FairShare(pool_, apps_.size()));
+    AdoptFairShare();
   }
   return Status::Ok();
 }
@@ -165,7 +168,7 @@ Status ResourceManager::RemoveApp(AppId app) {
       } else if (phase_ != Phase::kDegraded) {
         StartAdaptation();
       } else {
-        AdoptDecision(policy_->FairShare(pool_, apps_.size()));
+        AdoptFairShare();
       }
       return Status::Ok();
     }
@@ -310,6 +313,7 @@ Status ResourceManager::SetLatencyCriticalApp(AppId app,
   lc_apps_.push_back(LcManaged{
       app, *group, MakeSloGovernor(params_.slo.governor, params_.slo, model)});
   lc_apps_.back().offered_rps = std::max(model.initial_offered_rps, 0.0);
+  ReserveTickBuffers();
   audit_trigger_ = "slo_admit";
   const bool pool_changed = EvaluateSlo(/*force=*/true);
   if (pool_changed && !apps_.empty() && phase_ != Phase::kDegraded) {
@@ -332,8 +336,10 @@ bool ResourceManager::EvaluateSlo(bool force) {
   // stay reserved, so the batch pool can never be squeezed to nothing.
   const uint32_t batch_reserve =
       std::max<uint32_t>(static_cast<uint32_t>(apps_.size()), 1);
-  std::vector<SloDecision> decisions(lc_apps_.size());
-  std::vector<uint32_t> firsts(lc_apps_.size());
+  std::vector<SloDecision>& decisions = slo_decisions_;
+  std::vector<uint32_t>& firsts = slo_firsts_;
+  decisions.resize(lc_apps_.size());
+  firsts.resize(lc_apps_.size());
   uint32_t next_first = base_pool_.first_way;
   uint32_t remaining = base_pool_.num_ways;
   uint32_t batch_mba = base_pool_.max_mba_percent;
@@ -363,8 +369,8 @@ bool ResourceManager::EvaluateSlo(bool force) {
   batch_mba = std::max(batch_mba, MbaLevel::kMin);
 
   if (resize_needed) {
-    ActuationPlan plan;
-    plan.entries.reserve(lc_apps_.size());
+    ActuationPlan& plan = plan_;
+    plan.Clear();
     for (size_t i = 0; i < lc_apps_.size(); ++i) {
       plan.entries.push_back(ActuationPlan::Entry{
           .group = lc_apps_[i].group,
@@ -510,20 +516,19 @@ bool ResourceManager::ObserveUnfairnessTrend(double unfairness) {
 
 double ResourceManager::StreamMissRateReference(MbaLevel level) const {
   const MachineConfig& config = resctrl_->machine().config();
-  const MbaThrottleModel throttle(config.mba_cap_exponent);
-  return throttle.CapFraction(level) * config.total_memory_bandwidth /
+  return throttle_.CapFraction(level) * config.total_memory_bandwidth /
          config.llc.line_bytes;
 }
 
 // --- Transactional actuation ---
 
-ResourceManager::ActuationPlan ResourceManager::PlanForState(
-    const SystemState& state) const {
+const ResourceManager::ActuationPlan& ResourceManager::PlanForState(
+    const SystemState& state) {
   CHECK(state.Valid());
   CHECK_EQ(state.NumApps(), apps_.size());
   const SimulatedMachine& machine = resctrl_->machine();
-  ActuationPlan plan;
-  plan.entries.reserve(apps_.size());
+  ActuationPlan& plan = plan_;
+  plan.Clear();
   for (size_t i = 0; i < apps_.size(); ++i) {
     plan.entries.push_back(ActuationPlan::Entry{
         .group = apps_[i].group,
@@ -548,6 +553,33 @@ void ResourceManager::AdoptDecision(const PartitionDecision& decision) {
   verified_generation_.reset();
 }
 
+void ResourceManager::AdoptFairShare() {
+  policy_->FairShare(pool_, apps_.size(), &decision_);
+  AdoptDecision(decision_);
+}
+
+void ResourceManager::ReserveTickBuffers() {
+  const size_t n = apps_.size();
+  for (SystemState* state : {&state_, &best_state_, &decision_.state}) {
+    state->Reserve(n);
+  }
+  for (std::vector<uint32_t>* slots :
+       {&app_slot_, &decision_.app_slot, &decision_.prefetch_percent,
+        &before_clos_, &before_prefetch_}) {
+    ReserveRoom(*slots, n);
+  }
+  const size_t entries = std::max(n, lc_apps_.size());
+  ReserveRoom(plan_.entries, entries);
+  ReserveRoom(plan_.assignments, n);
+  ReserveRoom(plan_.prefetch, n);
+  ReserveRoom(before_entries_, entries);
+  ReserveRoom(outcomes_, n);
+  ReserveRoom(signals_, n);
+  ReserveRoom(slowdowns_, n);
+  ReserveRoom(slo_decisions_, lc_apps_.size());
+  ReserveRoom(slo_firsts_, lc_apps_.size());
+}
+
 Status ResourceManager::EnsureSlotGroups(size_t count) {
   verified_generation_.reset();
   while (slot_groups_.size() < count) {
@@ -561,16 +593,16 @@ Status ResourceManager::EnsureSlotGroups(size_t count) {
   return Status::Ok();
 }
 
-ResourceManager::ActuationPlan ResourceManager::PlanForDecision(
-    const PartitionDecision& decision) const {
-  ActuationPlan plan;
+const ResourceManager::ActuationPlan& ResourceManager::PlanForDecision(
+    const PartitionDecision& decision) {
+  ActuationPlan& plan = plan_;
   if (policy_->per_app_groups()) {
-    plan = PlanForState(decision.state);
+    PlanForState(decision.state);
   } else {
     CHECK(decision.state.Valid());
     CHECK_EQ(decision.app_slot.size(), apps_.size());
     CHECK_LE(decision.state.NumApps(), slot_groups_.size());
-    plan.entries.reserve(decision.state.NumApps());
+    plan.Clear();
     for (size_t k = 0; k < decision.state.NumApps(); ++k) {
       plan.entries.push_back(ActuationPlan::Entry{
           .group = slot_groups_[k],
@@ -624,7 +656,7 @@ bool ResourceManager::ActuateDecision(const PartitionDecision& decision) {
   return Actuate(PlanForDecision(decision));
 }
 
-ResourceManager::ActuationPlan ResourceManager::PlanForProbe() const {
+const ResourceManager::ActuationPlan& ResourceManager::PlanForProbe() {
   // The probed app gets the probe allocation; every co-runner is squeezed
   // to minimal resources (one shared way at the top of the pool, MBA floor)
   // so the probe measures the profiled app itself rather than the
@@ -649,8 +681,8 @@ ResourceManager::ActuationPlan ResourceManager::PlanForProbe() const {
   }
   const uint64_t squeeze_bits =
       ContiguousBits(pool_.first_way + pool_.num_ways - 1, 1);
-  ActuationPlan plan;
-  plan.entries.reserve(apps_.size());
+  ActuationPlan& plan = plan_;
+  plan.Clear();
   for (size_t i = 0; i < apps_.size(); ++i) {
     if (i == profile_app_) {
       plan.entries.push_back(ActuationPlan::Entry{
@@ -675,21 +707,20 @@ Status ResourceManager::ApplyPlanTransactional(const ActuationPlan& plan) {
   verified_generation_.reset();
   const SimulatedMachine& machine = resctrl_->machine();
   // Snapshot, so a half-applied transaction can be unwound.
-  struct Snapshot {
-    uint64_t mask_bits = 0;
-    uint32_t mba_percent = 100;
-  };
-  std::vector<Snapshot> before(plan.entries.size());
+  std::vector<ClosSnapshot>& before = before_entries_;
+  before.resize(plan.entries.size());
   for (size_t i = 0; i < plan.entries.size(); ++i) {
     const uint32_t clos = plan.entries[i].group.clos();
-    before[i] = Snapshot{machine.ClosWayMask(clos).bits(),
-                         machine.ClosMbaLevel(clos).percent()};
+    before[i] = ClosSnapshot{machine.ClosWayMask(clos).bits(),
+                             machine.ClosMbaLevel(clos).percent()};
   }
-  std::vector<uint32_t> before_clos(plan.assignments.size());
+  std::vector<uint32_t>& before_clos = before_clos_;
+  before_clos.resize(plan.assignments.size());
   for (size_t i = 0; i < plan.assignments.size(); ++i) {
     before_clos[i] = machine.AppClos(plan.assignments[i].app);
   }
-  std::vector<uint32_t> before_prefetch(plan.prefetch.size());
+  std::vector<uint32_t>& before_prefetch = before_prefetch_;
+  before_prefetch.resize(plan.prefetch.size());
   for (size_t i = 0; i < plan.prefetch.size(); ++i) {
     before_prefetch[i] = machine.AppPrefetchPercent(plan.prefetch[i].app);
   }
@@ -970,7 +1001,7 @@ void ResourceManager::StartAdaptation() {
   }
   phase_ = Phase::kProfiling;
   probe_ = Probe::kFull;
-  AdoptDecision(policy_->FairShare(pool_, apps_.size()));
+  AdoptFairShare();
   audit_trigger_ = "adaptation_start";
   EmitPhaseAudit("enter_profiling");
   // May fail and schedule a retry (or enter the degraded phase); the tick
@@ -1074,18 +1105,17 @@ void ResourceManager::EnterExploration() {
   audit_trigger_ = "exploration_start";
   EmitPhaseAudit("enter_exploration");
   // The policy resets its exploration state (FSM initials, pending events)
-  // and returns the opening decision — the fair share it explores from.
-  const PartitionDecision start = policy_->StartExploration(pool_,
-                                                            apps_.size());
+  // and writes the opening decision — the fair share it explores from.
+  policy_->StartExploration(pool_, apps_.size(), &decision_);
   for (ManagedApp& app : apps_) {
     app.prev_ips = 0.0;
     monitor_->Attach(app.id);  // Fresh sampling window.
   }
   has_best_state_ = false;
   best_unfairness_ = 0.0;
-  AdoptDecision(start);
-  (void)ActuateDecision(start);
-  if (start.converged && phase_ == Phase::kExploration) {
+  AdoptDecision(decision_);
+  (void)ActuateDecision(decision_);
+  if (decision_.converged && phase_ == Phase::kExploration) {
     // A static policy: nothing to explore. A failed apply above is retried
     // from idle like any other pending plan.
     EnterIdle();
@@ -1098,7 +1128,8 @@ void ResourceManager::TickExploration() {
   // Phase 1: read every app's PMCs through the fallible path. Sampling is
   // per-app independent and draws no randomness, so hoisting it out of the
   // classification loop changes nothing observable.
-  std::vector<SampleOutcome> outcomes(n);
+  std::vector<SampleOutcome>& outcomes = outcomes_;
+  outcomes.resize(n);
   {
     TraceTick::Span span(trace_tick_, "pmc_sample");
     span.set_cost(n);
@@ -1110,7 +1141,8 @@ void ResourceManager::TickExploration() {
 
   // Assemble the per-app signal bundle the policy classifies from. Pure
   // arithmetic over the samples — no policy state is touched yet.
-  std::vector<PolicySignals> signals(n);
+  std::vector<PolicySignals>& signals = signals_;
+  signals.assign(n, PolicySignals{});
   for (size_t i = 0; i < n; ++i) {
     ManagedApp& app = apps_[i];
     const SampleOutcome& outcome = outcomes[i];
@@ -1160,7 +1192,8 @@ void ResourceManager::TickExploration() {
   // These samples measured `state_` (applied at the end of the previous
   // tick); remember it if it is the fairest state seen this exploration.
   {
-    std::vector<double> slowdowns(n);
+    std::vector<double>& slowdowns = slowdowns_;
+    slowdowns.resize(n);
     for (size_t i = 0; i < n; ++i) {
       slowdowns[i] = signals[i].slowdown;
     }
@@ -1190,11 +1223,11 @@ void ResourceManager::TickExploration() {
   // duration is the virtual cost (one unit) — the *wall-clock* solve time
   // stays in exploration_time_stats_, outside the deterministic trace
   // surface.
-  PartitionDecision decision;
+  PartitionDecision& decision = decision_;
   {
     TraceTick::Span span(trace_tick_, "solve");
     const auto start = std::chrono::steady_clock::now();
-    decision = policy_->Allocate(state_, signals, rng_);
+    policy_->Allocate(state_, signals, rng_, &decision);
     const auto end = std::chrono::steady_clock::now();
     last_exploration_us_ =
         std::chrono::duration<double, std::micro>(end - start).count();
@@ -1255,10 +1288,10 @@ void ResourceManager::TickIdle() {
   if (verified_generation_ != generation) {
     if (AllocationDrifted()) {
       audit_trigger_ = "idle_drift_repair";
-      PartitionDecision current;
-      current.state = state_;
-      current.app_slot = app_slot_;
-      (void)ActuateDecision(current);
+      decision_.state = state_;
+      decision_.app_slot = app_slot_;
+      decision_.ClearExtras();
+      (void)ActuateDecision(decision_);
       return;
     }
     verified_generation_ = generation;
@@ -1329,7 +1362,8 @@ void ResourceManager::TickDegraded() {
   }
   // Keep trying to pin the static fair share — the safest partition when
   // neither actuation nor feedback can be trusted.
-  const PartitionDecision fair = policy_->FairShare(pool_, apps_.size());
+  const PartitionDecision& fair = decision_;
+  policy_->FairShare(pool_, apps_.size(), &decision_);
   audit_trigger_ = "degraded_fair_share";
   if (!policy_->per_app_groups()) {
     Status groups = EnsureSlotGroups(fair.state.NumApps());
@@ -1344,7 +1378,7 @@ void ResourceManager::TickDegraded() {
   ++actuation_attempts_;
   Status status;
   {
-    const ActuationPlan plan = PlanForDecision(fair);
+    const ActuationPlan& plan = PlanForDecision(fair);
     TraceTick::Span span(trace_tick_, "apply_schemata");
     span.set_cost(plan.entries.size());
     span.set_arg1("entries", static_cast<int64_t>(plan.entries.size()));
@@ -1582,7 +1616,7 @@ void ResourceManager::ReapDeadApps() {
     } else if (phase_ != Phase::kDegraded) {
       StartAdaptation();
     } else {
-      AdoptDecision(policy_->FairShare(pool_, apps_.size()));
+      AdoptFairShare();
     }
   }
 }

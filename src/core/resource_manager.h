@@ -79,6 +79,7 @@
 #include "core/partition_policy.h"
 #include "core/system_state.h"
 #include "machine/app_id.h"
+#include "membw/mba_throttle_model.h"
 #include "obs/obs.h"
 #include "pmc/perf_monitor.h"
 #include "resctrl/resctrl.h"
@@ -283,6 +284,18 @@ class ResourceManager {
     std::vector<Entry> entries;
     std::vector<Assignment> assignments;
     std::vector<PrefetchEntry> prefetch;
+
+    void Clear() {
+      entries.clear();
+      assignments.clear();
+      prefetch.clear();
+    }
+  };
+
+  // ApplyPlanTransactional's pre-write readback of one entry's CLOS.
+  struct ClosSnapshot {
+    uint64_t mask_bits = 0;
+    uint32_t mba_percent = 100;
   };
 
   // One SLO-managed latency-critical app (params.slo mode).
@@ -319,6 +332,12 @@ class ResourceManager {
   size_t NextUnprofiled(size_t from) const;
   // Installs a policy decision as the manager's current state/slot map.
   void AdoptDecision(const PartitionDecision& decision);
+  // Adopts the policy's fair share for the current pool and app set.
+  void AdoptFairShare();
+  // Makes room in the per-tick buffers for the current app and LC sets
+  // (ReserveRoom); called whenever either grows, so a steady tick never
+  // reallocates them.
+  void ReserveTickBuffers();
   // Lazily creates the shared cluster groups ("copart_cluster_<k>") a
   // clustered decision actuates onto. Groups persist once created.
   Status EnsureSlotGroups(size_t count);
@@ -344,16 +363,18 @@ class ResourceManager {
   void EnterDegraded();
   size_t AppIndex(AppId id) const;
 
+  // The plan builders write plan_ and return it.
+  //
   // Builds the schemata plan realising `state` (one entry per app), plus a
   // re-binding for any app that sits outside its own group's CLOS.
-  ActuationPlan PlanForState(const SystemState& state) const;
+  const ActuationPlan& PlanForState(const SystemState& state);
   // Builds the plan realising a policy decision: per-app delegates to
   // PlanForState; clustered decisions get one entry per slot plus the app
   // re-bindings, and decisions with prefetch state add the MSR writes.
-  ActuationPlan PlanForDecision(const PartitionDecision& decision) const;
+  const ActuationPlan& PlanForDecision(const PartitionDecision& decision);
   // Builds the profiling plan: the probed app gets the probe allocation,
   // every co-runner is squeezed to minimal resources.
-  ActuationPlan PlanForProbe() const;
+  const ActuationPlan& PlanForProbe();
 
   // Applies `plan` as a transaction: snapshot current allocations, apply
   // every entry, verify each by readback from the machine, and roll back
@@ -406,6 +427,8 @@ class ResourceManager {
   Resctrl* resctrl_;      // Not owned.
   PerfMonitor* monitor_;  // Not owned.
   ResourceManagerParams params_;
+  // The machine's MBA cap curve, for StreamMissRateReference.
+  MbaThrottleModel throttle_;
   Rng rng_;
   Backoff backoff_;
   // Batch pool the fairness allocation runs over. Outside SLO mode it is
@@ -484,6 +507,24 @@ class ResourceManager {
   const char* audit_trigger_ = "adaptation_start";
   TraceTick* trace_tick_ = nullptr;
   uint64_t ticks_ = 0;
+
+  // Per-tick working storage, sized by ReserveTickBuffers. Each buffer
+  // belongs to this manager alone: fleet workers tick managers
+  // concurrently. Contents are unspecified between uses.
+  PartitionDecision decision_;  // What the policy writes each decision into.
+  ActuationPlan plan_;          // What the plan builders write.
+  // ApplyPlanTransactional's snapshot: per entry, per assignment (the
+  // app's CLOS) and per prefetch write (the app's throttle).
+  std::vector<ClosSnapshot> before_entries_;
+  std::vector<uint32_t> before_clos_;
+  std::vector<uint32_t> before_prefetch_;
+  // TickExploration's samples, signals and slowdown estimates.
+  std::vector<SampleOutcome> outcomes_;
+  std::vector<PolicySignals> signals_;
+  std::vector<double> slowdowns_;
+  // EvaluateSlo's per-LC-app plan.
+  std::vector<SloDecision> slo_decisions_;
+  std::vector<uint32_t> slo_firsts_;
 };
 
 }  // namespace copart

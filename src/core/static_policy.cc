@@ -11,34 +11,38 @@ StaticPartitionPolicy::StaticPartitionPolicy(std::string name,
                                              SystemState state)
     : name_(std::move(name)), fixed_(std::move(state)) {}
 
-PartitionDecision StaticPartitionPolicy::StartExploration(
-    const ResourcePool& pool, size_t num_apps) {
-  PartitionDecision decision = FairShare(pool, num_apps);
-  decision.converged = true;
-  return decision;
+void StaticPartitionPolicy::StartExploration(const ResourcePool& pool,
+                                             size_t num_apps,
+                                             PartitionDecision* decision) {
+  FairShare(pool, num_apps, decision);
+  decision->converged = true;
 }
 
-PartitionDecision StaticPartitionPolicy::FairShare(const ResourcePool& pool,
-                                                   size_t num_apps) const {
+void StaticPartitionPolicy::FairShare(const ResourcePool& pool,
+                                      size_t num_apps,
+                                      PartitionDecision* decision) const {
   if (shared_) {
-    PartitionDecision decision;
-    decision.state = SystemState::EqualShare(pool, 1);
-    decision.app_slot.assign(num_apps, 0);
-    return decision;
+    decision->state = SystemState::EqualShare(pool, 1);
+    decision->app_slot.assign(num_apps, 0);
+    decision->ClearExtras();
+    return;
   }
   if (fixed_.has_value() && fixed_->NumApps() == num_apps &&
       fixed_->pool() == pool) {
-    return MakePerAppDecision(*fixed_);
+    decision->state = *fixed_;
+  } else {
+    decision->state = SystemState::EqualShareThrottled(pool, num_apps);
   }
-  return MakePerAppDecision(SystemState::EqualShareThrottled(pool, num_apps));
+  MakePerAppDecision(decision);
 }
 
-PartitionDecision StaticPartitionPolicy::Allocate(
-    const SystemState& current, const std::vector<PolicySignals>& signals,
-    Rng& /*rng*/) {
+void StaticPartitionPolicy::Allocate(const SystemState& current,
+                                     const std::vector<PolicySignals>& signals,
+                                     Rng& /*rng*/,
+                                     PartitionDecision* decision) {
   // Unreachable through the driver (the opening decision converges); a
   // direct caller gets the same static decision.
-  return StartExploration(current.pool(), signals.size());
+  StartExploration(current.pool(), signals.size(), decision);
 }
 
 }  // namespace copart

@@ -72,59 +72,70 @@ bool SystemState::Valid() const {
   return total_ways == pool_.num_ways;
 }
 
-SystemState SystemState::RandomNeighbor(Rng& rng, bool allow_llc_moves,
-                                        bool allow_mba_moves) const {
+void SystemState::Reshape(const ResourcePool& pool, size_t num_apps) {
+  pool_ = pool;
+  allocations_.assign(num_apps, AppAllocation{});
+}
+
+void SystemState::RandomNeighbor(Rng& rng, bool allow_llc_moves,
+                                 bool allow_mba_moves,
+                                 SystemState* next) const {
+  CHECK(next != this);
+  *next = *this;
   const size_t n = allocations_.size();
-  if (n == 0) {
-    return *this;
-  }
-  // Enumerate feasible single moves, then draw one uniformly.
-  struct Move {
-    bool is_llc;
-    size_t from;  // LLC: way donor. MBA: the app whose level steps.
-    size_t to;    // LLC: way recipient. MBA: 1 = up, 0 = down.
+  // Count the feasible single moves, draw one uniformly, and decode the
+  // drawn index in enumeration order. Every app with a spare way donates
+  // to each of the n - 1 others; each app may step its MBA level down and,
+  // below the pool ceiling, up.
+  const auto can_step_up = [&](const AppAllocation& allocation) {
+    return allocation.mba_level.CanIncrease() &&
+           allocation.mba_level.percent() + MbaLevel::kStep <=
+               pool_.max_mba_percent;
   };
-  std::vector<Move> moves;
-  if (allow_llc_moves) {
-    for (size_t from = 0; from < n; ++from) {
-      if (allocations_[from].llc_ways <= 1) {
-        continue;
-      }
-      for (size_t to = 0; to < n; ++to) {
-        if (to != from) {
-          moves.push_back({true, from, to});
-        }
-      }
+  size_t donors = 0;
+  size_t mba_moves = 0;
+  for (const AppAllocation& allocation : allocations_) {
+    if (allow_llc_moves && allocation.llc_ways > 1) {
+      ++donors;
+    }
+    if (allow_mba_moves) {
+      mba_moves += (allocation.mba_level.CanDecrease() ? 1 : 0) +
+                   (can_step_up(allocation) ? 1 : 0);
     }
   }
-  if (allow_mba_moves) {
-    for (size_t i = 0; i < n; ++i) {
-      if (allocations_[i].mba_level.CanDecrease()) {
-        moves.push_back({false, i, 0});
-      }
-      if (allocations_[i].mba_level.CanIncrease() &&
-          allocations_[i].mba_level.percent() + MbaLevel::kStep <=
-              pool_.max_mba_percent) {
-        moves.push_back({false, i, 1});
+  const size_t llc_moves = n > 1 ? donors * (n - 1) : 0;
+  if (llc_moves + mba_moves == 0) {
+    return;
+  }
+  size_t move = rng.NextUint64(llc_moves + mba_moves);
+  if (move < llc_moves) {
+    size_t donor_rank = move / (n - 1);
+    size_t from = 0;
+    for (;; ++from) {
+      if (allocations_[from].llc_ways > 1 && donor_rank-- == 0) {
+        break;
       }
     }
+    // Recipients run over every app but the donor, in index order.
+    const size_t recipient_rank = move % (n - 1);
+    const size_t to = recipient_rank < from ? recipient_rank
+                                            : recipient_rank + 1;
+    --next->allocations_[from].llc_ways;
+    ++next->allocations_[to].llc_ways;
+    return;
   }
-  if (moves.empty()) {
-    return *this;
+  move -= llc_moves;
+  for (size_t i = 0;; ++i) {
+    MbaLevel& level = next->allocations_[i].mba_level;
+    if (allocations_[i].mba_level.CanDecrease() && move-- == 0) {
+      level = level.Decreased();
+      return;
+    }
+    if (can_step_up(allocations_[i]) && move-- == 0) {
+      level = level.Increased();
+      return;
+    }
   }
-  const Move& move = moves[rng.NextUint64(moves.size())];
-  SystemState next = *this;
-  if (move.is_llc) {
-    --next.allocations_[move.from].llc_ways;
-    ++next.allocations_[move.to].llc_ways;
-  } else if (move.to == 1) {
-    next.allocations_[move.from].mba_level =
-        next.allocations_[move.from].mba_level.Increased();
-  } else {
-    next.allocations_[move.from].mba_level =
-        next.allocations_[move.from].mba_level.Decreased();
-  }
-  return next;
 }
 
 uint64_t SystemState::WayMaskBits(size_t app) const {

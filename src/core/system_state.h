@@ -9,6 +9,8 @@
 #ifndef COPART_CORE_SYSTEM_STATE_H_
 #define COPART_CORE_SYSTEM_STATE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,6 +19,16 @@
 #include "membw/mba.h"
 
 namespace copart {
+
+// Makes room in `buffer` for `count` elements without touching its
+// contents. A buffer that must grow at least doubles, so one sized at every
+// admission reallocates O(log count) times over its owner's life.
+template <typename T>
+void ReserveRoom(std::vector<T>& buffer, size_t count) {
+  if (buffer.capacity() < count) {
+    buffer.reserve(std::max(count, 2 * buffer.capacity()));
+  }
+}
 
 // The slice of machine resources the controller may hand out.
 struct ResourcePool {
@@ -62,12 +74,23 @@ class SystemState {
   // within [10, pool ceiling].
   bool Valid() const;
 
+  // Re-shapes the state in place: `num_apps` default allocations on
+  // `pool`, for the caller to fill. Keeps the storage, so a state refilled
+  // every period allocates only when it outgrows its capacity.
+  void Reshape(const ResourcePool& pool, size_t num_apps);
+  // Makes room for `num_apps` allocations (ReserveRoom) without changing
+  // the state.
+  void Reserve(size_t num_apps) { ReserveRoom(allocations_, num_apps); }
+
   // Uniformly random single-step perturbation (Algorithm 1's
   // getNeighborState): move one way between two random apps, or step one
-  // random app's MBA level. Returns a valid state differing in one move;
-  // returns *this unchanged if no move is possible.
-  SystemState RandomNeighbor(Rng& rng, bool allow_llc_moves,
-                             bool allow_mba_moves) const;
+  // random app's MBA level. Writes a valid state differing in one move to
+  // `*next` (which must not be this state), or *this unchanged if no move
+  // is possible. Draws one NextUint64 over the feasible moves, in the
+  // order: every LLC (donor, recipient) pair by donor then recipient, then
+  // each app's MBA step down and up; draws nothing when there is no move.
+  void RandomNeighbor(Rng& rng, bool allow_llc_moves, bool allow_mba_moves,
+                      SystemState* next) const;
 
   // Contiguous way mask bits for app `i`, packing apps left to right in
   // index order within the pool.

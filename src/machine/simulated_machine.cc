@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "common/logging.h"
@@ -35,6 +36,25 @@ SimulatedMachine::SimulatedMachine(const MachineConfig& config)
   }
 }
 
+void SimulatedMachine::ReserveEpochBuffers() {
+  const size_t apps = std::max(apps_.size(), 2 * solved_ips_.capacity());
+  for (std::vector<double>* buffer :
+       {&soa_cores_hz_, &soa_api_, &soa_cpi_exec_, &soa_mem_lat_, &soa_mlp_,
+        &soa_kappa_, &soa_mba_term_, &soa_cap_bps_, &soa_pf_lat_, &soa_pf_bw_,
+        &solved_ips_, &solved_capability_, &solved_miss_ratio_,
+        &solved_capacity_, &solved_demand_, &solved_grant_, &solved_mpi_,
+        &solved_api_, &scratch_capacities_, &scratch_weights_,
+        &scratch_miss_ratios_, &scratch_capped_, &scratch_grants_}) {
+    buffer->reserve(apps);
+  }
+  arbiter_.Reserve(apps);
+  const size_t clos = clos_.size();
+  clos_mask_bits_.reserve(clos);
+  scratch_clos_weight_.reserve(clos);
+  scratch_clos_capacity_.reserve(clos);
+  scratch_active_clos_.reserve(clos);
+}
+
 Result<AppId> SimulatedMachine::LaunchApp(const WorkloadDescriptor& descriptor,
                                           std::optional<uint32_t> num_cores) {
   const uint32_t cores = num_cores.value_or(descriptor.num_threads);
@@ -56,6 +76,11 @@ Result<AppId> SimulatedMachine::LaunchApp(const WorkloadDescriptor& descriptor,
   ++input_generation_;
   ++capacity_generation_;
   app_index_[app.id] = apps_.size();
+  if (!app.descriptor.phases.empty()) {
+    phased_apps_.push_back(apps_.size());
+  }
+  params_cache_.push_back(
+      EffectiveParamsFor(app, app.descriptor.PhaseIndexAt(0.0)));
   apps_.push_back(std::move(app));
   app_clos_.push_back(0);
   required_ips_.push_back(kUncapped);
@@ -79,6 +104,13 @@ Status SimulatedMachine::TerminateApp(AppId id) {
                           static_cast<ptrdiff_t>(index));
   counters_.erase(counters_.begin() + static_cast<ptrdiff_t>(index));
   last_epoch_.erase(last_epoch_.begin() + static_cast<ptrdiff_t>(index));
+  params_cache_.erase(params_cache_.begin() + static_cast<ptrdiff_t>(index));
+  std::erase(phased_apps_, index);
+  for (size_t& phased : phased_apps_) {
+    if (phased > index) {
+      --phased;
+    }
+  }
   app_index_.erase(it);
   // The erase shifted every later app down one slot.
   for (auto& [app_id, app_pos] : app_index_) {
@@ -245,22 +277,8 @@ SimulatedMachine::EffectiveParams SimulatedMachine::EffectiveParamsFor(
 }
 
 void SimulatedMachine::RefreshEffectiveParams() {
-  const size_t n = apps_.size();
-  if (params_generation_ != app_generation_) {
-    params_cache_.clear();
-    params_cache_.reserve(n);
-    phased_apps_.clear();
-    for (size_t i = 0; i < n; ++i) {
-      const App& app = apps_[i];
-      params_cache_.push_back(EffectiveParamsFor(
-          app, app.descriptor.PhaseIndexAt(now_ - app.launch_time)));
-      if (!app.descriptor.phases.empty()) {
-        phased_apps_.push_back(i);
-      }
-    }
-    params_generation_ = app_generation_;
-    return;
-  }
+  const bool app_set_changed = params_generation_ != app_generation_;
+  params_generation_ = app_generation_;
   for (const size_t i : phased_apps_) {
     const App& app = apps_[i];
     const size_t phase_index =
@@ -269,8 +287,10 @@ void SimulatedMachine::RefreshEffectiveParams() {
       params_cache_[i] = EffectiveParamsFor(app, phase_index);
       // A phase crossing changes the solve inputs, including the profile
       // and access intensity the capacity fixed point reads.
-      ++input_generation_;
-      ++capacity_generation_;
+      if (!app_set_changed) {
+        ++input_generation_;
+        ++capacity_generation_;
+      }
     }
   }
 }
@@ -638,6 +658,9 @@ void SimulatedMachine::AdvanceTime(double dt) {
   RefreshEffectiveParams();
   if (!config_.incremental_epochs || !solved_valid_ ||
       solved_input_generation_ != input_generation_) {
+    if (solved_ips_.capacity() < apps_.size()) {
+      ReserveEpochBuffers();
+    }
     RefreshSoaInputs();
     if (config_.epoch_kernel == EpochKernel::kScalar) {
       SolveEpochScalar();

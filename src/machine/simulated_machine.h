@@ -221,6 +221,12 @@ class SimulatedMachine {
 
   const AppCounters& Counters(AppId id) const;
   const AppEpochSnapshot& LastEpoch(AppId id) const;
+  // LastEpoch and SoloIps by position: index i is ListApps()[i]. For scans
+  // over every resident, which need no id lookup.
+  const AppEpochSnapshot& LastEpochAt(size_t index) const {
+    return last_epoch_[index];
+  }
+  double SoloIpsAt(size_t index) const { return apps_[index].solo_ips; }
 
   // IPS the descriptor would achieve running alone with all ways, MBA 100
   // and an uncontended memory controller — the IPS_full reference of Eq. 1.
@@ -241,6 +247,10 @@ class SimulatedMachine {
   void SetIpsNoiseSigma(double sigma);
 
  private:
+  // Reads the params cache to hold it to a full rebuild
+  // (tests/machine_incremental_test.cc).
+  friend class SimulatedMachineTestPeer;
+
   struct App {
     AppId id;
     WorkloadDescriptor descriptor;
@@ -266,12 +276,18 @@ class SimulatedMachine {
   EffectiveParams EffectiveParamsFor(const App& app,
                                      size_t phase_index) const;
 
-  // Brings params_cache_ up to date for the current now_: rebuilt from
-  // scratch when app_generation_ moved (launch/terminate reorders apps_),
-  // and per app when it crossed a phase boundary (which dirties the solve).
-  // Steady-state epochs reuse the cached entries untouched — zero heap
-  // allocations.
+  // Brings params_cache_ up to date for the current now_: re-derives the
+  // entry of every phased app that crossed a phase boundary, which dirties
+  // the solve unless the app set changed since the last refresh (the
+  // launch or terminate dirtied it already). LaunchApp and TerminateApp
+  // keep the cache index-parallel with apps_, so steady-state epochs reuse
+  // the cached entries untouched — zero heap allocations.
   void RefreshEffectiveParams();
+
+  // Sizes the buffers of the vectorized solve for the app count, at least
+  // doubling them, and for the CLOS count. A solve that outgrows them calls
+  // it, so they grow O(log apps) times, not launch by launch.
+  void ReserveEpochBuffers();
 
   // Rebuilds the flat SoA model-input arrays (per-app constants, phase
   // params, per-CLOS-derived MBA terms and caps) when input_generation_
@@ -341,13 +357,15 @@ class SimulatedMachine {
   std::vector<AppCounters> counters_;
   std::vector<AppEpochSnapshot> last_epoch_;
 
-  // Cached phase-adjusted params, one per app in apps_ order; valid while
-  // params_generation_ == app_generation_ and each app stays in the phase
+  // Cached phase-adjusted params, one per app in apps_ order (LaunchApp
+  // appends, TerminateApp erases); valid while each app stays in the phase
   // recorded in its entry.
   std::vector<EffectiveParams> params_cache_;
+  // app_generation_ at the last RefreshEffectiveParams.
   uint64_t params_generation_ = ~0ull;
-  // Indices of apps with a non-empty phase schedule; the per-epoch phase
-  // check only walks these (empty for purely steady workloads).
+  // Indices of apps with a non-empty phase schedule, ascending; the
+  // per-epoch phase check only walks these (empty for purely steady
+  // workloads).
   std::vector<size_t> phased_apps_;
 
   // --- Dirty tracking for the incremental tick ---

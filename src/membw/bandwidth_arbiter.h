@@ -13,6 +13,7 @@
 #ifndef COPART_MEMBW_BANDWIDTH_ARBITER_H_
 #define COPART_MEMBW_BANDWIDTH_ARBITER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -47,6 +48,12 @@ class BandwidthArbiter {
   // Allocation-free at a stable request count, like ArbitrateInto.
   void ArbitrateCappedInto(const std::vector<double>& capped,
                            std::vector<double>* grants);
+
+  // Sizes the scratch for up to `num_requests` requests.
+  void Reserve(size_t num_requests) {
+    scratch_capped_.reserve(num_requests);
+    scratch_satisfied_.reserve(num_requests);
+  }
 
   double total_bytes_per_sec() const { return total_bytes_per_sec_; }
 

@@ -18,6 +18,7 @@
 #define COPART_MEMBW_MBA_THROTTLE_MODEL_H_
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "membw/mba.h"
@@ -28,18 +29,30 @@ class MbaThrottleModel {
  public:
   explicit MbaThrottleModel(double exponent = 0.7) : exponent_(exponent) {
     CHECK_GT(exponent, 0.0);
+    // One std::pow per legal level, here, instead of one per query: the
+    // solve and the controller ask for a cap every dirty epoch and every
+    // exploration period.
+    for (uint32_t step = 0; step < kLevels; ++step) {
+      const MbaLevel level =
+          MbaLevel::FromPercentChecked(MbaLevel::kMin + step * MbaLevel::kStep);
+      cap_fraction_[step] = std::pow(level.percent() / 100.0, exponent_);
+    }
   }
 
   // Fraction of the controller's total bandwidth this CLOS may inject.
   // 1.0 at level 100.
   double CapFraction(MbaLevel level) const {
-    return std::pow(level.percent() / 100.0, exponent_);
+    return cap_fraction_[level.StepsAboveMin()];
   }
 
   double exponent() const { return exponent_; }
 
  private:
+  static constexpr uint32_t kLevels =
+      (MbaLevel::kMax - MbaLevel::kMin) / MbaLevel::kStep + 1;
+
   double exponent_;
+  double cap_fraction_[kLevels];
 };
 
 }  // namespace copart

@@ -113,15 +113,19 @@ TEST(DcatSignalTest, UnhealthySamplesLeaveTheEstimatesAlone) {
     policy->OnAppAdded();
     policy->OnAppAdded();
   }
-  SystemState clean_state = clean.StartExploration(pool, 2).state;
-  SystemState noisy_state = noisy.StartExploration(pool, 2).state;
+  PartitionDecision clean_decision, noisy_decision;
+  clean.StartExploration(pool, 2, &clean_decision);
+  noisy.StartExploration(pool, 2, &noisy_decision);
   for (int period = 0; period < 8; ++period) {
     clean.Classify(good);
     noisy.Classify(good);
     noisy.Classify(bad);
-    clean_state = clean.Allocate(clean_state, good, rng).state;
-    noisy_state = noisy.Allocate(noisy_state, good, rng).state;
-    ASSERT_TRUE(clean_state == noisy_state) << "period " << period;
+    const SystemState clean_state = clean_decision.state;
+    const SystemState noisy_state = noisy_decision.state;
+    clean.Allocate(clean_state, good, rng, &clean_decision);
+    noisy.Allocate(noisy_state, good, rng, &noisy_decision);
+    ASSERT_TRUE(clean_decision.state == noisy_decision.state)
+        << "period " << period;
   }
 }
 

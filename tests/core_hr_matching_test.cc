@@ -17,6 +17,21 @@ MatchAppInfo App(double slowdown, ResourceClass llc, ResourceClass mba) {
                       .mba_class = mba};
 }
 
+// One matcher call into a fresh result.
+MatchResult Match(const SystemState& state,
+                  const std::vector<MatchAppInfo>& apps, Rng& rng,
+                  bool enable_llc = true, bool enable_mba = true) {
+  MatchResult result;
+  GetNextSystemState(state, apps, rng, enable_llc, enable_mba, &result);
+  return result;
+}
+
+SystemState Neighbor(const SystemState& state, Rng& rng) {
+  SystemState next;
+  state.RandomNeighbor(rng, true, true, &next);
+  return next;
+}
+
 TEST(HrMatchingTest, SimpleLlcTransfer) {
   const SystemState state = SystemState::EqualShare(FullPool(), 2);
   // App 0 supplies LLC, app 1 demands it.
@@ -24,7 +39,7 @@ TEST(HrMatchingTest, SimpleLlcTransfer) {
       App(1.0, ResourceClass::kSupply, ResourceClass::kMaintain),
       App(2.0, ResourceClass::kDemand, ResourceClass::kMaintain)};
   Rng rng(1);
-  const MatchResult result = GetNextSystemState(state, apps, rng);
+  const MatchResult result = Match(state, apps, rng);
   EXPECT_EQ(result.next_state.allocation(0).llc_ways,
             state.allocation(0).llc_ways - 1);
   EXPECT_EQ(result.next_state.allocation(1).llc_ways,
@@ -42,7 +57,7 @@ TEST(HrMatchingTest, SimpleMbaTransfer) {
       App(1.0, ResourceClass::kMaintain, ResourceClass::kSupply),
       App(2.0, ResourceClass::kMaintain, ResourceClass::kDemand)};
   Rng rng(1);
-  const MatchResult result = GetNextSystemState(state, apps, rng);
+  const MatchResult result = Match(state, apps, rng);
   EXPECT_EQ(result.next_state.allocation(0).mba_level.percent(), 90u);
   EXPECT_EQ(result.next_state.allocation(1).mba_level.percent(), 60u);
 }
@@ -54,7 +69,7 @@ TEST(HrMatchingTest, NoProducersNoChange) {
       App(2.0, ResourceClass::kDemand, ResourceClass::kMaintain),
       App(1.5, ResourceClass::kMaintain, ResourceClass::kMaintain)};
   Rng rng(2);
-  const MatchResult result = GetNextSystemState(state, apps, rng);
+  const MatchResult result = Match(state, apps, rng);
   EXPECT_EQ(result.next_state, state);
   EXPECT_TRUE(result.transfers.empty());
 }
@@ -65,7 +80,7 @@ TEST(HrMatchingTest, NoConsumersNoChange) {
       App(1.0, ResourceClass::kSupply, ResourceClass::kSupply),
       App(1.1, ResourceClass::kMaintain, ResourceClass::kMaintain)};
   Rng rng(3);
-  EXPECT_EQ(GetNextSystemState(state, apps, rng).next_state, state);
+  EXPECT_EQ(Match(state, apps, rng).next_state, state);
 }
 
 TEST(HrMatchingTest, OversubscribedResourceFavorsHighestSlowdown) {
@@ -76,7 +91,7 @@ TEST(HrMatchingTest, OversubscribedResourceFavorsHighestSlowdown) {
       App(1.5, ResourceClass::kDemand, ResourceClass::kMaintain),
       App(3.0, ResourceClass::kDemand, ResourceClass::kMaintain)};
   Rng rng(4);
-  const MatchResult result = GetNextSystemState(state, apps, rng);
+  const MatchResult result = Match(state, apps, rng);
   EXPECT_EQ(result.next_state.allocation(2).llc_ways,
             state.allocation(2).llc_ways + 1);
   EXPECT_EQ(result.next_state.allocation(1).llc_ways,
@@ -90,7 +105,7 @@ TEST(HrMatchingTest, ReclaimFavorsLowestSlowdownProducer) {
       App(1.0, ResourceClass::kSupply, ResourceClass::kMaintain),
       App(3.0, ResourceClass::kDemand, ResourceClass::kMaintain)};
   Rng rng(5);
-  const MatchResult result = GetNextSystemState(state, apps, rng);
+  const MatchResult result = Match(state, apps, rng);
   // The least-slowed producer (app 1) gives up the way.
   EXPECT_EQ(result.next_state.allocation(1).llc_ways,
             state.allocation(1).llc_ways - 1);
@@ -108,7 +123,7 @@ TEST(HrMatchingTest, DisplacedConsumerFallsBackToAnyProducer) {
       App(2.0, ResourceClass::kDemand, ResourceClass::kMaintain),
       App(3.0, ResourceClass::kDemand, ResourceClass::kMaintain)};
   Rng rng(6);
-  const MatchResult result = GetNextSystemState(state, apps, rng);
+  const MatchResult result = Match(state, apps, rng);
   EXPECT_EQ(result.next_state.allocation(2).llc_ways,
             state.allocation(2).llc_ways + 1);
   EXPECT_EQ(result.next_state.allocation(3).llc_ways,
@@ -130,7 +145,7 @@ TEST(HrMatchingTest, ProducerAtFloorIsNotEligible) {
       App(1.0, ResourceClass::kSupply, ResourceClass::kSupply),
       App(2.0, ResourceClass::kDemand, ResourceClass::kDemand)};
   Rng rng(7);
-  EXPECT_EQ(GetNextSystemState(state, apps, rng).next_state, state);
+  EXPECT_EQ(Match(state, apps, rng).next_state, state);
 }
 
 TEST(HrMatchingTest, ConsumerAtMbaCeilingCannotTakeMba) {
@@ -140,7 +155,7 @@ TEST(HrMatchingTest, ConsumerAtMbaCeilingCannotTakeMba) {
       App(1.0, ResourceClass::kMaintain, ResourceClass::kSupply),
       App(2.0, ResourceClass::kMaintain, ResourceClass::kDemand)};
   Rng rng(8);
-  EXPECT_EQ(GetNextSystemState(state, apps, rng).next_state, state);
+  EXPECT_EQ(Match(state, apps, rng).next_state, state);
 }
 
 TEST(HrMatchingTest, LlcGateBlocksLlcMoves) {
@@ -149,7 +164,7 @@ TEST(HrMatchingTest, LlcGateBlocksLlcMoves) {
       App(1.0, ResourceClass::kSupply, ResourceClass::kMaintain),
       App(2.0, ResourceClass::kDemand, ResourceClass::kMaintain)};
   Rng rng(9);
-  EXPECT_EQ(GetNextSystemState(state, apps, rng, /*enable_llc=*/false,
+  EXPECT_EQ(Match(state, apps, rng, /*enable_llc=*/false,
                                /*enable_mba=*/true)
                 .next_state,
             state);
@@ -162,7 +177,7 @@ TEST(HrMatchingTest, MbaGateBlocksMbaMoves) {
       App(1.0, ResourceClass::kMaintain, ResourceClass::kSupply),
       App(2.0, ResourceClass::kMaintain, ResourceClass::kDemand)};
   Rng rng(10);
-  EXPECT_EQ(GetNextSystemState(state, apps, rng, /*enable_llc=*/true,
+  EXPECT_EQ(Match(state, apps, rng, /*enable_llc=*/true,
                                /*enable_mba=*/false)
                 .next_state,
             state);
@@ -176,7 +191,7 @@ TEST(HrMatchingTest, AnyDemanderTakesWhateverIsAvailable) {
       App(1.0, ResourceClass::kMaintain, ResourceClass::kSupply),
       App(2.0, ResourceClass::kDemand, ResourceClass::kDemand)};
   Rng rng(11);
-  const MatchResult result = GetNextSystemState(state, apps, rng);
+  const MatchResult result = Match(state, apps, rng);
   EXPECT_EQ(result.next_state.allocation(1).mba_level.percent(), 50u);
   EXPECT_EQ(result.next_state.allocation(0).mba_level.percent(), 90u);
 }
@@ -193,7 +208,7 @@ TEST(HrMatchingStabilityTest, NoBlockingPairs) {
     const size_t n = 3 + rng.NextUint64(4);
     SystemState state = SystemState::EqualShare(FullPool(), n);
     for (int move = 0; move < 6; ++move) {
-      state = state.RandomNeighbor(rng, true, true);
+      state = Neighbor(state, rng);
     }
     std::vector<MatchAppInfo> apps(n);
     for (MatchAppInfo& app : apps) {
@@ -201,7 +216,7 @@ TEST(HrMatchingStabilityTest, NoBlockingPairs) {
       app.llc_class = classes[rng.NextUint64(3)];
       app.mba_class = classes[rng.NextUint64(3)];
     }
-    const MatchResult result = GetNextSystemState(state, apps, rng);
+    const MatchResult result = Match(state, apps, rng);
 
     // Served = received a transfer of the type they demanded.
     std::vector<bool> served_llc(n, false), served_mba(n, false);
@@ -249,6 +264,7 @@ class HrMatchingPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(HrMatchingPropertyTest, InvariantsUnderRandomInputs) {
   Rng rng(GetParam());
+  MatchResult reused;
   const ResourceClass classes[] = {ResourceClass::kSupply,
                                    ResourceClass::kMaintain,
                                    ResourceClass::kDemand};
@@ -257,7 +273,7 @@ TEST_P(HrMatchingPropertyTest, InvariantsUnderRandomInputs) {
     SystemState state = SystemState::EqualShare(FullPool(), n);
     // Randomize the starting allocation with a few neighbor moves.
     for (int move = 0; move < 8; ++move) {
-      state = state.RandomNeighbor(rng, true, true);
+      state = Neighbor(state, rng);
     }
     std::vector<MatchAppInfo> apps(n);
     for (MatchAppInfo& app : apps) {
@@ -267,8 +283,21 @@ TEST_P(HrMatchingPropertyTest, InvariantsUnderRandomInputs) {
     }
     const bool enable_llc = rng.NextBool(0.8);
     const bool enable_mba = rng.NextBool(0.8);
-    const MatchResult result =
-        GetNextSystemState(state, apps, rng, enable_llc, enable_mba);
+    // A result reused across rounds, the way a policy holds one, matches a
+    // fresh one fed the same draws.
+    Rng fresh_rng = rng;
+    const MatchResult fresh =
+        Match(state, apps, fresh_rng, enable_llc, enable_mba);
+    GetNextSystemState(state, apps, rng, enable_llc, enable_mba, &reused);
+    const MatchResult& result = reused;
+    ASSERT_TRUE(result.next_state == fresh.next_state);
+    ASSERT_EQ(result.transfers.size(), fresh.transfers.size());
+    for (size_t t = 0; t < fresh.transfers.size(); ++t) {
+      EXPECT_EQ(result.transfers[t].is_llc, fresh.transfers[t].is_llc);
+      EXPECT_EQ(result.transfers[t].producer, fresh.transfers[t].producer);
+      EXPECT_EQ(result.transfers[t].consumer, fresh.transfers[t].consumer);
+    }
+    ASSERT_TRUE(rng.NextUint64() == fresh_rng.NextUint64());
     ASSERT_TRUE(result.next_state.Valid()) << result.next_state.ToString();
 
     uint32_t ways_before = 0, ways_after = 0;

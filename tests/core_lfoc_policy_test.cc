@@ -3,6 +3,9 @@
 // after a churn or an IPS drift, and keeps exploring a mix whose fairness
 // comes from apps time-sharing a wide slot. CBP parks only once its
 // prefetch throttles settle.
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -191,6 +194,14 @@ std::vector<PolicySignals> Signals(double traffic_ratio) {
   return signals;
 }
 
+// One decision with `*decision`'s state as the current one, the way the
+// driver feeds back what it actuated.
+void Decide(PartitionPolicy& policy, const std::vector<PolicySignals>& signals,
+            Rng& rng, PartitionDecision* decision) {
+  const SystemState current = decision->state;
+  policy.Allocate(current, signals, rng, decision);
+}
+
 TEST(CbpSteadyStateTest, ThrottleEngagedAfterTheClusteringSettles) {
   const ResourceManagerParams params = Named("cbp");
   CbpPolicy policy(params);
@@ -199,13 +210,14 @@ TEST(CbpSteadyStateTest, ThrottleEngagedAfterTheClusteringSettles) {
   }
   const ResourcePool pool{.first_way = 0, .num_ways = 11,
                           .max_mba_percent = 100};
-  PartitionDecision decision = policy.StartExploration(pool, 3);
+  PartitionDecision decision;
+  policy.StartExploration(pool, 3, &decision);
   Rng rng(1);
   const double below = params.classifier.traffic_ratio_high * 0.5;
   int period = 0;
   for (; period < 20 && !decision.converged; ++period) {
     policy.Classify(Signals(below));
-    decision = policy.Allocate(decision.state, Signals(below), rng);
+    Decide(policy, Signals(below), rng, &decision);
   }
   ASSERT_TRUE(decision.converged) << "never settled";
   EXPECT_EQ(decision.prefetch_percent[2], 100u);
@@ -214,7 +226,7 @@ TEST(CbpSteadyStateTest, ThrottleEngagedAfterTheClusteringSettles) {
   // it must be actuated, not parked.
   const double above = params.classifier.traffic_ratio_high * 2.0;
   policy.Classify(Signals(above));
-  decision = policy.Allocate(decision.state, Signals(above), rng);
+  Decide(policy, Signals(above), rng, &decision);
   EXPECT_FALSE(decision.converged);
   EXPECT_EQ(decision.prefetch_percent[2],
             params.cbp.throttled_prefetch_percent);
@@ -223,7 +235,7 @@ TEST(CbpSteadyStateTest, ThrottleEngagedAfterTheClusteringSettles) {
   // The throttle holds, and the clustering settles again.
   for (period = 0; period < 20 && !decision.converged; ++period) {
     policy.Classify(Signals(above));
-    decision = policy.Allocate(decision.state, Signals(above), rng);
+    Decide(policy, Signals(above), rng, &decision);
     EXPECT_EQ(decision.prefetch_percent[2],
               params.cbp.throttled_prefetch_percent);
   }
@@ -243,14 +255,228 @@ TEST(CbpSteadyStateTest, DecisionThatFlipsAThrottleNeverParks) {
   }
   const ResourcePool pool{.first_way = 0, .num_ways = 11,
                           .max_mba_percent = 100};
-  PartitionDecision decision = policy.StartExploration(pool, 3);
+  PartitionDecision decision;
+  policy.StartExploration(pool, 3, &decision);
   Rng rng(1);
   const double between = 1.5 * params.classifier.traffic_ratio_high;
   for (int period = 0; period < 20; ++period) {
     policy.Classify(Signals(between));
-    decision = policy.Allocate(decision.state, Signals(between), rng);
+    Decide(policy, Signals(between), rng, &decision);
     ASSERT_FALSE(decision.converged) << "parked after " << period + 1;
   }
+}
+
+// LfocPolicy with the enumerate-then-sort form of its clustering step: the
+// fresh per-call vectors and the two std::stable_sort calls that
+// Cluster() replaced with reused buffers and std::sort. Both comparators
+// break ties by index, so both are total orders and std::sort must produce
+// the same cluster order and the same remainder order.
+class ReferenceLfoc : public LfocPolicy {
+ public:
+  using LfocPolicy::LfocPolicy;
+
+  // The decision the reference writes for this period's classes and
+  // pressures; `clusters` and `cooldown` are its own copies of the LFOC+
+  // sizing state.
+  PartitionDecision ReferenceCluster(const ResourcePool& pool,
+                                     uint32_t* clusters,
+                                     int* cooldown) const {
+    const size_t n = classes_.size();
+    std::vector<size_t> lights, streams, sens;
+    for (size_t i = 0; i < n; ++i) {
+      (classes_[i] == AppClass::kLight       ? lights
+       : classes_[i] == AppClass::kStreaming ? streams
+                                             : sens)
+          .push_back(i);
+    }
+    if (plus_ && !sens.empty()) {
+      if (*cooldown > 0) {
+        --*cooldown;
+      } else {
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = 0.0;
+        for (size_t i : sens) {
+          lo = std::min(lo, pressure_[i]);
+          hi = std::max(hi, pressure_[i]);
+        }
+        const double spread = lo > 0.0 ? hi / lo - 1.0
+                              : hi > 0.0
+                                  ? std::numeric_limits<double>::infinity()
+                                  : 0.0;
+        if (spread > params_.lfoc.split_spread) {
+          ++*clusters;
+          *cooldown = params_.lfoc.resize_cooldown_periods;
+        } else if (spread < params_.lfoc.merge_spread && *clusters > 1) {
+          --*clusters;
+          *cooldown = params_.lfoc.resize_cooldown_periods;
+        }
+      }
+    }
+    uint32_t light_ways =
+        lights.empty() ? 0 : std::max(params_.lfoc.light_ways, 1u);
+    uint32_t stream_ways =
+        streams.empty() ? 0 : std::max(params_.lfoc.streaming_ways, 1u);
+    const uint32_t sens_reserve = sens.empty() ? 0 : 1;
+    const uint32_t side_slots =
+        (lights.empty() ? 0u : 1u) + (streams.empty() ? 0u : 1u);
+    const uint32_t slot_budget = std::max(
+        1u, std::min(params_.max_clos > 0 ? params_.max_clos - 1 : 1u,
+                     pool.num_ways));
+    PartitionDecision decision;
+    if (light_ways + stream_ways + sens_reserve > pool.num_ways ||
+        side_slots + sens_reserve > slot_budget) {
+      FairShare(pool, n, &decision);
+      return decision;
+    }
+    uint32_t rest_ways = pool.num_ways - light_ways - stream_ways;
+    uint32_t k = 0;
+    if (!sens.empty()) {
+      const uint32_t sens_budget =
+          slot_budget > side_slots ? slot_budget - side_slots : 1u;
+      k = std::min({*clusters, static_cast<uint32_t>(sens.size()), rest_ways,
+                    sens_budget});
+      k = std::max(k, 1u);
+    } else if (!lights.empty()) {
+      light_ways += rest_ways;
+      rest_ways = 0;
+    } else {
+      stream_ways += rest_ways;
+      rest_ways = 0;
+    }
+    *clusters = std::max(k, 1u);
+
+    std::vector<size_t> order = sens;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (pressure_[a] != pressure_[b]) {
+        return pressure_[a] > pressure_[b];
+      }
+      return a < b;
+    });
+    std::vector<std::vector<size_t>> members(k);
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      members[pos * k / order.size()].push_back(order[pos]);
+    }
+    std::vector<uint32_t> cluster_ways(k, 1);
+    if (k > 0) {
+      const uint32_t spare = rest_ways - k;
+      std::vector<double> weight(k, 0.0);
+      double total_weight = 0.0;
+      for (uint32_t c = 0; c < k; ++c) {
+        for (size_t i : members[c]) {
+          weight[c] += pressure_[i];
+        }
+        total_weight += weight[c];
+      }
+      if (total_weight <= 0.0) {
+        total_weight = static_cast<double>(k);
+        weight.assign(k, 1.0);
+      }
+      std::vector<double> fraction(k, 0.0);
+      uint32_t given = 0;
+      for (uint32_t c = 0; c < k; ++c) {
+        const double share = spare * weight[c] / total_weight;
+        const uint32_t base = static_cast<uint32_t>(share);
+        cluster_ways[c] += base;
+        given += base;
+        fraction[c] = share - base;
+      }
+      std::vector<uint32_t> by_fraction(k);
+      std::iota(by_fraction.begin(), by_fraction.end(), 0u);
+      std::stable_sort(by_fraction.begin(), by_fraction.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         if (fraction[a] != fraction[b]) {
+                           return fraction[a] > fraction[b];
+                         }
+                         return a < b;
+                       });
+      for (uint32_t r = 0; given < spare; ++r) {
+        ++cluster_ways[by_fraction[r % k]];
+        ++given;
+      }
+    }
+    const MbaLevel pool_mba =
+        MbaLevel::FromPercentChecked(pool.max_mba_percent);
+    const uint32_t stream_mba_percent = std::max(
+        MbaLevel::kMin,
+        std::min(params_.lfoc.streaming_mba_percent / MbaLevel::kStep *
+                     MbaLevel::kStep,
+                 pool.max_mba_percent));
+    std::vector<AppAllocation> slots;
+    decision.app_slot.assign(n, 0u);
+    for (uint32_t c = 0; c < k; ++c) {
+      for (size_t i : members[c]) {
+        decision.app_slot[i] = static_cast<uint32_t>(slots.size());
+      }
+      slots.push_back({.llc_ways = cluster_ways[c], .mba_level = pool_mba});
+    }
+    if (!lights.empty()) {
+      for (size_t i : lights) {
+        decision.app_slot[i] = static_cast<uint32_t>(slots.size());
+      }
+      slots.push_back({.llc_ways = light_ways, .mba_level = pool_mba});
+    }
+    if (!streams.empty()) {
+      for (size_t i : streams) {
+        decision.app_slot[i] = static_cast<uint32_t>(slots.size());
+      }
+      slots.push_back(
+          {.llc_ways = stream_ways,
+           .mba_level = MbaLevel::FromPercentChecked(stream_mba_percent)});
+    }
+    decision.state = SystemState(pool, std::move(slots));
+    return decision;
+  }
+};
+
+TEST(LfocClusteringTest, SortedClustersMatchTheStableSortReference) {
+  Rng rng(77);
+  // Few distinct values, so pressures, cluster weights and remainder
+  // fractions tie often.
+  const double access_rates[] = {1e6, 1e8, 2e8};
+  const double miss_ratios[] = {0.01, 0.02, 0.04, 0.5};
+  const double traffic_ratios[] = {0.05, 0.6};
+  int periods = 0;
+  size_t max_slots = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    ReferenceLfoc policy(Named("lfoc+"), /*plus=*/true);
+    const size_t n = 3 + rng.NextUint64(38);
+    for (size_t i = 0; i < n; ++i) {
+      policy.OnAppAdded();
+    }
+    const ResourcePool pool{.first_way = 0,
+                            .num_ways = 11 + 9 * static_cast<uint32_t>(
+                                                     rng.NextUint64(2)),
+                            .max_mba_percent = 100};
+    PartitionDecision decision;
+    policy.StartExploration(pool, n, &decision);
+    uint32_t clusters = 1;
+    int cooldown = 0;
+    std::vector<PolicySignals> signals(n);
+    for (int period = 0; period < 40; ++period, ++periods) {
+      // Every fourth period all sensitive apps press equally, so the
+      // spread collapses and clusters merge back.
+      const bool uniform = period % 4 == 3;
+      for (PolicySignals& s : signals) {
+        s.healthy = true;
+        s.llc_access_rate = uniform ? 1e8 : access_rates[rng.NextUint64(3)];
+        s.llc_miss_ratio = uniform ? 0.02 : miss_ratios[rng.NextUint64(4)];
+        s.traffic_ratio = traffic_ratios[rng.NextUint64(2)];
+      }
+      policy.Classify(signals);
+      const PartitionDecision expected =
+          policy.ReferenceCluster(pool, &clusters, &cooldown);
+      const SystemState current = decision.state;
+      policy.Allocate(current, signals, rng, &decision);
+      ASSERT_TRUE(decision.state == expected.state)
+          << "trial " << trial << " period " << period << ": "
+          << decision.state.ToString() << " vs " << expected.state.ToString();
+      ASSERT_EQ(decision.app_slot, expected.app_slot)
+          << "trial " << trial << " period " << period;
+      max_slots = std::max(max_slots, decision.state.NumApps());
+    }
+  }
+  EXPECT_EQ(periods, 40 * 40);
+  EXPECT_GE(max_slots, 5u) << "the split rule never opened three clusters";
 }
 
 }  // namespace

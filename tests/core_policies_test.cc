@@ -146,9 +146,9 @@ TEST(StaticPolicyTest, AllocateRepeatsTheStaticDecision) {
   // caller gets the same converged static state.
   StaticPartitionPolicy policy("eq", /*shared=*/false);
   Rng rng(1);
-  const PartitionDecision decision =
-      policy.Allocate(SystemState::EqualShare(FullPool(), 3),
-                      std::vector<PolicySignals>(3), rng);
+  PartitionDecision decision;
+  policy.Allocate(SystemState::EqualShare(FullPool(), 3),
+                  std::vector<PolicySignals>(3), rng, &decision);
   EXPECT_TRUE(decision.converged);
   EXPECT_TRUE(decision.state ==
               SystemState::EqualShareThrottled(FullPool(), 3));
@@ -303,15 +303,15 @@ class SplittingPolicy : public StaticPartitionPolicy {
   explicit SplittingPolicy(const bool* split)
       : StaticPartitionPolicy("split", /*shared=*/true), split_(split) {}
 
-  PartitionDecision StartExploration(const ResourcePool& pool,
-                                     size_t num_apps) override {
+  void StartExploration(const ResourcePool& pool, size_t num_apps,
+                        PartitionDecision* decision) override {
     if (!*split_) {
-      return StaticPartitionPolicy::StartExploration(pool, num_apps);
+      StaticPartitionPolicy::StartExploration(pool, num_apps, decision);
+      return;
     }
-    PartitionDecision decision =
-        MakePerAppDecision(SystemState::EqualShare(pool, num_apps));
-    decision.converged = true;
-    return decision;
+    decision->state = SystemState::EqualShare(pool, num_apps);
+    MakePerAppDecision(decision);
+    decision->converged = true;
   }
 
  private:

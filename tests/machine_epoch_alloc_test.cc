@@ -4,70 +4,28 @@
 // buffers, cached EffectiveParams, ArbitrateInto) against regressions that
 // would silently reintroduce per-epoch malloc traffic.
 //
-// Counting is done by overriding the global operator new/delete. gtest
-// itself allocates between tests, so the counter is only consulted inside
-// tight windows around AdvanceTime calls.
-#include <atomic>
-#include <cstddef>
-#include <cstdlib>
-#include <new>
+// Counting is done by the replaced global operator new of alloc_counter.cc.
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "machine/machine_config.h"
 #include "machine/simulated_machine.h"
 #include "membw/mba.h"
 #include "workload/workload.h"
 
-namespace {
-
-std::atomic<long> g_allocations{0};
-
-}  // namespace
-
-// The replacements are kept out of line: once GCC inlines a delete's
-// std::free into a caller whose new it cannot see, it reports a
-// -Wmismatched-new-delete false positive.
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* ptr = std::malloc(size);
-  if (ptr == nullptr) {
-    throw std::bad_alloc();
-  }
-  return ptr;
-}
-
-__attribute__((noinline)) void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-
-__attribute__((noinline)) void operator delete(void* ptr) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete[](void* ptr) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete(void* ptr,
-                                               std::size_t) noexcept {
-  std::free(ptr);
-}
-__attribute__((noinline)) void operator delete[](void* ptr,
-                                                 std::size_t) noexcept {
-  std::free(ptr);
-}
-
 namespace copart {
 namespace {
 
 long AllocationsDuringEpochs(SimulatedMachine& machine, int epochs) {
-  const long before = g_allocations.load(std::memory_order_relaxed);
+  const long before = HeapAllocations();
   for (int i = 0; i < epochs; ++i) {
     machine.AdvanceTime(0.5);
   }
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  return HeapAllocations() - before;
 }
 
 // Parameterized over (MRC mode, incremental fast path on/off): the zero-
@@ -118,7 +76,7 @@ TEST_P(MachineEpochAllocTest, PartitioningChurnDoesNotAllocate) {
   for (int i = 0; i < 16; ++i) {
     machine.AdvanceTime(0.5);
   }
-  const long before = g_allocations.load(std::memory_order_relaxed);
+  const long before = HeapAllocations();
   for (int i = 0; i < 100; ++i) {
     machine.SetClosMbaLevel(1u + static_cast<uint32_t>(i % 4),
                             MbaLevel::FromPercentChecked(
@@ -130,7 +88,7 @@ TEST_P(MachineEpochAllocTest, PartitioningChurnDoesNotAllocate) {
     }
     machine.AdvanceTime(0.5);
   }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
+  EXPECT_EQ(HeapAllocations() - before, 0)
       << "partitioning churn allocated on the epoch path";
 }
 
@@ -144,7 +102,8 @@ TEST_P(MachineEpochAllocTest, LaunchInvalidatesThenSteadyAgain) {
   }
   ASSERT_EQ(AllocationsDuringEpochs(machine, 50), 0);
 
-  // Membership changes legitimately rebuild the params cache...
+  // A launch legitimately derives the newcomer's params and may size
+  // buffers...
   Result<AppId> b = machine.LaunchApp(Raytrace(), 2);
   ASSERT_TRUE(b.ok());
   machine.AssignAppToClos(*b, 1);

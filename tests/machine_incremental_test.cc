@@ -319,4 +319,97 @@ INSTANTIATE_TEST_SUITE_P(AllModes, MachineIncrementalTwinTest,
                          });
 
 }  // namespace
+
+// The params cache is kept up to date per launch and terminate instead of
+// being rebuilt after every change of the app set. This peer holds it to
+// that full rebuild: every app's params derived afresh for its phase at
+// the current clock, and the ascending index of the phased apps.
+class SimulatedMachineTestPeer {
+ public:
+  // "" when the cache equals the rebuild, else the first difference.
+  static std::string CacheMismatch(const SimulatedMachine& machine) {
+    std::vector<SimulatedMachine::EffectiveParams> rebuilt;
+    std::vector<size_t> phased;
+    for (size_t i = 0; i < machine.apps_.size(); ++i) {
+      const SimulatedMachine::App& app = machine.apps_[i];
+      rebuilt.push_back(machine.EffectiveParamsFor(
+          app, app.descriptor.PhaseIndexAt(machine.now_ - app.launch_time)));
+      if (!app.descriptor.phases.empty()) {
+        phased.push_back(i);
+      }
+    }
+    if (phased != machine.phased_apps_) {
+      return "phased-app index differs";
+    }
+    if (rebuilt.size() != machine.params_cache_.size()) {
+      return "cache holds " + std::to_string(machine.params_cache_.size()) +
+             " entries for " + std::to_string(rebuilt.size()) + " apps";
+    }
+    for (size_t i = 0; i < rebuilt.size(); ++i) {
+      const SimulatedMachine::EffectiveParams& want = rebuilt[i];
+      const SimulatedMachine::EffectiveParams& got = machine.params_cache_[i];
+      const std::vector<ReuseComponent>& a = want.profile.components();
+      const std::vector<ReuseComponent>& b = got.profile.components();
+      bool same = want.phase_index == got.phase_index &&
+                  SameBits(want.accesses_per_instr, got.accesses_per_instr) &&
+                  SameBits(want.cpi_exec, got.cpi_exec) &&
+                  SameBits(want.profile.streaming_weight(),
+                           got.profile.streaming_weight()) &&
+                  a.size() == b.size();
+      for (size_t c = 0; same && c < a.size(); ++c) {
+        same = SameBits(a[c].weight, b[c].weight) &&
+               a[c].working_set_bytes == b[c].working_set_bytes;
+      }
+      if (!same) {
+        return "app " + std::to_string(i) + " differs from its rebuild";
+      }
+    }
+    return "";
+  }
+};
+
+namespace {
+
+TEST(MachineParamsCacheTest, PerLaunchUpkeepEqualsFullRebuild) {
+  MachineConfig config;
+  config.num_cores = 16;
+  SimulatedMachine machine(config);
+  Rng rng(31);
+  const std::vector<WorkloadDescriptor> workloads = {
+      PhasedScanCompute(0.7), PhasedScanCompute(1.6), MemcachedPhased(1.1),
+      CorrelatedLcBatchPair(0.9).batch, Sp(), Raytrace()};
+  std::vector<AppId> apps;
+  std::optional<MachineSnapshot> snapshot;
+  int launches = 0, terminations = 0, restores = 0;
+  for (int step = 0; step < 600; ++step) {
+    const uint64_t op = rng.NextUint64(10);
+    if (op < 3 && machine.FreeCores() >= 2) {
+      Result<AppId> app = machine.LaunchApp(
+          workloads[rng.NextUint64(workloads.size())], 2);
+      ASSERT_TRUE(app.ok());
+      apps.push_back(*app);
+      ++launches;
+    } else if (op < 5 && !apps.empty()) {
+      const size_t victim = rng.NextUint64(apps.size());
+      ASSERT_TRUE(machine.TerminateApp(apps[victim]).ok());
+      apps.erase(apps.begin() + static_cast<ptrdiff_t>(victim));
+      ++terminations;
+    } else if (op == 5) {
+      snapshot = machine.Snapshot();
+    } else if (op == 6 && snapshot.has_value() &&
+               snapshot->app_generation == machine.app_generation()) {
+      machine.Restore(*snapshot);
+      ++restores;
+    } else {
+      machine.AdvanceTime(0.1 + 0.3 * static_cast<double>(rng.NextUint64(4)));
+    }
+    ASSERT_EQ(SimulatedMachineTestPeer::CacheMismatch(machine), "")
+        << "after step " << step << " (op " << op << ")";
+  }
+  EXPECT_GT(launches, 20);
+  EXPECT_GT(terminations, 20);
+  EXPECT_GT(restores, 5);
+}
+
+}  // namespace
 }  // namespace copart
