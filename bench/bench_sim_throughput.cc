@@ -15,13 +15,15 @@
 //                       the "compiled in but disabled" cost of the fault
 //                       substrate (tools/run_perf_smoke.sh runs this mode
 //                       against the same 20%% regression gate)
-//   --scalar-check      no measurement: lockstep-run the vectorized,
-//                       scalar and incremental epoch kernels over a seeded
-//                       mutation schedule (mask/MBA/CLOS/required flips,
-//                       phase crossings, snapshot/rollback, what-if parity)
-//                       and exit non-zero on any bitwise divergence.
-//                       tools/run_perf_smoke.sh runs this so vectorization
-//                       can never silently change results.
+//   --scalar-check      no measurement: lockstep-run an incremental and a
+//                       full-solve machine over a seeded mutation schedule
+//                       (mask/MBA/CLOS/required flips, phase crossings,
+//                       snapshot/rollback, what-if parity), hold every
+//                       epoch's solve to the app-at-a-time reference
+//                       (tests/machine_reference.h), and exit non-zero on
+//                       any bitwise divergence. tools/run_perf_smoke.sh
+//                       runs this so vectorization can never silently
+//                       change results.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -46,6 +48,7 @@
 #include "obs/obs.h"
 #include "pmc/perf_monitor.h"
 #include "resctrl/resctrl.h"
+#include "tests/machine_reference.h"
 #include "workload/workload.h"
 
 namespace copart {
@@ -255,7 +258,7 @@ double MeasureWhatIfEvalsPerSec(bool use_snapshot, double min_seconds) {
   return static_cast<double>(evals) / elapsed;
 }
 
-// --- --scalar-check: bitwise equivalence of the epoch kernels ---
+// --- --scalar-check: the epoch solve held bitwise to the reference ---
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -290,27 +293,26 @@ bool CompareApp(const char* what, AppId id, const SimulatedMachine& reference,
   return ok;
 }
 
-// Lockstep-runs three machines — vectorized+incremental (the default),
-// vectorized+full-solve, and scalar+full-solve — through a seeded schedule
-// of partitioning churn and phase crossings, comparing every epoch output
-// bitwise. Also exercises snapshot/rollback replay and what-if parity.
+// Lockstep-runs two machines — incremental (the default) and full-solve —
+// through a seeded schedule of partitioning churn and phase crossings,
+// comparing every epoch output bitwise and holding each machine's solve to
+// the reference. Also exercises snapshot/rollback replay and what-if
+// parity.
 int RunScalarCheck() {
   const std::vector<WorkloadDescriptor> registry = AllTable2Benchmarks();
   std::vector<WorkloadDescriptor> workloads(registry.begin(),
                                             registry.begin() + 3);
   workloads.push_back(PhasedScanCompute());
 
-  auto make_machine = [&](EpochKernel kernel, bool incremental) {
+  auto make_machine = [&](bool incremental) {
     MachineConfig config;
     config.ips_noise_sigma = 0.01;  // Exercise the noise stream too.
-    config.epoch_kernel = kernel;
     config.incremental_epochs = incremental;
     return SimulatedMachine(config);
   };
-  SimulatedMachine fast = make_machine(EpochKernel::kVectorized, true);
-  SimulatedMachine full = make_machine(EpochKernel::kVectorized, false);
-  SimulatedMachine scalar = make_machine(EpochKernel::kScalar, false);
-  SimulatedMachine* machines[] = {&fast, &full, &scalar};
+  SimulatedMachine fast = make_machine(true);
+  SimulatedMachine full = make_machine(false);
+  SimulatedMachine* machines[] = {&fast, &full};
 
   std::vector<AppId> apps;
   for (size_t i = 0; i < workloads.size(); ++i) {
@@ -365,8 +367,16 @@ int RunScalarCheck() {
       machine->AdvanceTime(0.01);  // Small dt: PhasedScanCompute crosses.
     }
     for (const AppId id : apps) {
-      if (!CompareApp("vectorized-vs-full", id, full, fast) ||
-          !CompareApp("vectorized-vs-scalar", id, full, scalar)) {
+      if (!CompareApp("incremental-vs-full", id, full, fast)) {
+        ++failures;
+      }
+    }
+    for (const SimulatedMachine* machine : machines) {
+      const std::string mismatch = machine_reference::SolveMismatch(*machine);
+      if (!mismatch.empty()) {
+        std::fprintf(stderr, "scalar-check: MISMATCH [%s-vs-reference] %s\n",
+                     machine == &fast ? "incremental" : "full",
+                     mismatch.c_str());
         ++failures;
       }
     }
@@ -429,9 +439,9 @@ int RunScalarCheck() {
   }
 
   std::printf(
-      "scalar-check: OK (2000 churned epochs bit-identical across "
-      "vectorized/scalar/incremental kernels; %llu fast-path epochs; "
-      "rollback replay and what-if parity exact)\n",
+      "scalar-check: OK (2000 churned epochs bit-identical between the "
+      "incremental and full-solve machines and the reference solve; %llu "
+      "fast-path epochs; rollback replay and what-if parity exact)\n",
       static_cast<unsigned long long>(full.full_solves() -
                                       fast.full_solves()));
   return 0;

@@ -16,15 +16,6 @@ namespace copart {
 
 class FaultInjector;
 
-// Which implementation solves the coupled epoch model (see
-// machine/simulated_machine.h). Both produce bit-identical results by
-// construction; kScalar is the straight-line reference kept for
-// cross-checking the vectorized path (bench_sim_throughput --scalar-check).
-enum class EpochKernel : uint8_t {
-  kVectorized,
-  kScalar,
-};
-
 struct MachineConfig {
   uint32_t num_cores = 16;
   double core_freq_hz = 2.1e9;
@@ -63,9 +54,6 @@ struct MachineConfig {
   // fixed mode; numerics differ slightly between modes, so comparisons
   // against goldens must pin one.
   MrcMode mrc_mode = MrcMode::kCompiled;
-  // Epoch solve kernel: kVectorized iterates flat structure-of-arrays state
-  // with SIMD-friendly loops; kScalar is the reference implementation.
-  EpochKernel epoch_kernel = EpochKernel::kVectorized;
   // Reuse the last converged epoch solve while nothing observable changed
   // (way masks, MBA levels, CLOS membership, app arrivals/departures,
   // required-IPS caps, workload phases) — the steady-state common case in

@@ -351,8 +351,9 @@ void SimulatedMachine::SolveEffectiveCapacities() {
   }
   const double way_bytes = static_cast<double>(config_.llc.WayBytes());
 
-  // The CLOSes that actually host apps this epoch; the way split only has
-  // to iterate these, not all apps (all sharers of a CLOS see one mask).
+  // The CLOSes that actually host apps this epoch, in order of first use;
+  // the way split only has to iterate these, not all apps (all sharers of a
+  // CLOS see one mask).
   scratch_clos_weight_.assign(clos_.size(), 0.0);
   scratch_clos_capacity_.assign(clos_.size(), 0.0);
   scratch_active_clos_.clear();
@@ -364,6 +365,7 @@ void SimulatedMachine::SolveEffectiveCapacities() {
   }
 
   // Fill-intensity weights; initialized equal, refined by the fixed point.
+  scratch_miss_ratios_.resize(n);
   scratch_weights_.assign(n, 1.0);
   for (int iteration = 0; iteration <= kCapacityIterations; ++iteration) {
     // Split each way among the CLOSes that may allocate into it, then give
@@ -378,7 +380,7 @@ void SimulatedMachine::SolveEffectiveCapacities() {
     for (uint32_t way = 0; way < config_.llc.num_ways; ++way) {
       double total_weight = 0.0;
       for (const uint32_t clos : scratch_active_clos_) {
-        if (clos_[clos].way_mask.Contains(way)) {
+        if ((clos_mask_bits_[clos] >> way) & 1u) {
           total_weight += scratch_clos_weight_[clos];
         }
       }
@@ -386,7 +388,7 @@ void SimulatedMachine::SolveEffectiveCapacities() {
         continue;
       }
       for (const uint32_t clos : scratch_active_clos_) {
-        if (clos_[clos].way_mask.Contains(way)) {
+        if ((clos_mask_bits_[clos] >> way) & 1u) {
           scratch_clos_capacity_[clos] +=
               way_bytes * scratch_clos_weight_[clos] / total_weight;
         }
@@ -401,73 +403,8 @@ void SimulatedMachine::SolveEffectiveCapacities() {
       break;
     }
     // Refine weights: occupancy under LRU is proportional to fill (miss)
-    // intensity. Use the nominal (stall-free) instruction rate as the scale.
-    for (size_t i = 0; i < n; ++i) {
-      const double miss_ratio = params_cache_[i].profile.MissRatio(
-          static_cast<uint64_t>(scratch_capacities_[i]), config_.mrc_mode);
-      const double nominal_ips = apps_[i].num_cores * config_.core_freq_hz /
-                                 params_cache_[i].cpi_exec;
-      scratch_weights_[i] =
-          nominal_ips * params_cache_[i].accesses_per_instr * miss_ratio +
-          1e-6;
-    }
-  }
-}
-
-void SimulatedMachine::SolveEffectiveCapacitiesVectorized() {
-  const size_t n = apps_.size();
-  scratch_capacities_.assign(n, 0.0);
-  if (n == 0) {
-    return;
-  }
-  const double way_bytes = static_cast<double>(config_.llc.WayBytes());
-
-  scratch_clos_weight_.assign(clos_.size(), 0.0);
-  scratch_clos_capacity_.assign(clos_.size(), 0.0);
-  scratch_active_clos_.clear();
-  for (const uint32_t clos : app_clos_) {
-    if (scratch_clos_weight_[clos] == 0.0) {
-      scratch_active_clos_.push_back(clos);
-      scratch_clos_weight_[clos] = 1.0;  // Presence marker.
-    }
-  }
-
-  scratch_miss_ratios_.resize(n);
-  scratch_weights_.assign(n, 1.0);
-  for (int iteration = 0; iteration <= kCapacityIterations; ++iteration) {
-    for (const uint32_t clos : scratch_active_clos_) {
-      scratch_clos_weight_[clos] = 0.0;
-      scratch_clos_capacity_[clos] = 0.0;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      scratch_clos_weight_[app_clos_[i]] += scratch_weights_[i];
-    }
-    for (uint32_t way = 0; way < config_.llc.num_ways; ++way) {
-      double total_weight = 0.0;
-      for (const uint32_t clos : scratch_active_clos_) {
-        if ((clos_mask_bits_[clos] >> way) & 1u) {
-          total_weight += scratch_clos_weight_[clos];
-        }
-      }
-      if (total_weight <= 0.0) {
-        continue;
-      }
-      for (const uint32_t clos : scratch_active_clos_) {
-        if ((clos_mask_bits_[clos] >> way) & 1u) {
-          scratch_clos_capacity_[clos] +=
-              way_bytes * scratch_clos_weight_[clos] / total_weight;
-        }
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      scratch_capacities_[i] = scratch_clos_capacity_[app_clos_[i]] *
-                               scratch_weights_[i] /
-                               scratch_clos_weight_[app_clos_[i]];
-    }
-    if (iteration == kCapacityIterations) {
-      break;
-    }
-    // Miss-ratio queries stay a scalar loop (table walk per app); the weight
+    // intensity, scaled by the nominal (stall-free) instruction rate. The
+    // miss-ratio queries stay a scalar loop (table walk per app); the weight
     // refinement is elementwise over the flat arrays.
     for (size_t i = 0; i < n; ++i) {
       scratch_miss_ratios_[i] = params_cache_[i].profile.MissRatio(
@@ -481,74 +418,7 @@ void SimulatedMachine::SolveEffectiveCapacitiesVectorized() {
   }
 }
 
-void SimulatedMachine::SolveEpochScalar() {
-  const size_t n = apps_.size();
-  SolveEffectiveCapacities();
-  const std::vector<EffectiveParams>& params = params_cache_;
-  const std::vector<double>& capacities = scratch_capacities_;
-
-  // Pass 1: contention-free IPS and bandwidth demands.
-  scratch_miss_ratios_.resize(n);
-  scratch_mpis_.resize(n);
-  scratch_requests_.resize(n);
-  std::vector<double>& miss_ratios = scratch_miss_ratios_;
-  std::vector<double>& mpis = scratch_mpis_;
-  std::vector<BandwidthRequest>& requests = scratch_requests_;
-  for (size_t i = 0; i < n; ++i) {
-    const App& app = apps_[i];
-    const WorkloadDescriptor& d = app.descriptor;
-    const MbaLevel level = clos_[app_clos_[i]].mba_level;
-    miss_ratios[i] = params[i].profile.MissRatio(
-        static_cast<uint64_t>(capacities[i]), config_.mrc_mode);
-    mpis[i] = params[i].accesses_per_instr * miss_ratios[i];
-    const double cpi = UnconstrainedCpi(d, params[i].cpi_exec, mpis[i], level,
-                                        /*contention=*/1.0, soa_pf_lat_[i]);
-    double ips = app.num_cores * config_.core_freq_hz / cpi;
-    ips = std::min(ips, required_ips_[i]);
-    requests[i].demand_bytes_per_sec =
-        ips * mpis[i] * config_.llc.line_bytes * soa_pf_bw_[i];
-    requests[i].cap_bytes_per_sec =
-        throttle_model_.CapFraction(level) * config_.total_memory_bandwidth;
-  }
-
-  arbiter_.ArbitrateInto(requests, &scratch_grants_);
-  const std::vector<double>& grants = scratch_grants_;
-
-  // Controller utilization -> queueing delay stretch on every miss.
-  double total_grant = 0.0;
-  for (const double grant : grants) {
-    total_grant += grant;
-  }
-  const double rho =
-      std::min(1.0, total_grant / config_.total_memory_bandwidth);
-  const double contention =
-      1.0 + config_.queueing_delay_factor * rho * rho;
-
-  // Pass 2: contention-adjusted IPS, bounded by the bandwidth grant.
-  for (size_t i = 0; i < n; ++i) {
-    const App& app = apps_[i];
-    const WorkloadDescriptor& d = app.descriptor;
-    const MbaLevel level = clos_[app_clos_[i]].mba_level;
-    const double cpi = UnconstrainedCpi(d, params[i].cpi_exec, mpis[i], level,
-                                        contention, soa_pf_lat_[i]);
-    double ips = app.num_cores * config_.core_freq_hz / cpi;
-    solved_capability_[i] = ips;
-    ips = std::min(ips, required_ips_[i]);
-    if (mpis[i] > kNegligibleMpi) {
-      ips = std::min(ips, grants[i] / (mpis[i] * config_.llc.line_bytes *
-                                       soa_pf_bw_[i]));
-    }
-    solved_ips_[i] = ips;
-    solved_miss_ratio_[i] = miss_ratios[i];
-    solved_capacity_[i] = capacities[i];
-    solved_demand_[i] = requests[i].demand_bytes_per_sec;
-    solved_grant_[i] = grants[i];
-    solved_mpi_[i] = mpis[i];
-    solved_api_[i] = params[i].accesses_per_instr;
-  }
-}
-
-void SimulatedMachine::SolveEpochVectorized(bool capacity_clean) {
+void SimulatedMachine::SolveEpoch(bool capacity_clean) {
   const size_t n = apps_.size();
   const double line_bytes = config_.llc.line_bytes;
 
@@ -558,7 +428,7 @@ void SimulatedMachine::SolveEpochVectorized(bool capacity_clean) {
   // block would produce (the fixed point is a pure function of masks,
   // membership and phase params), so skip it.
   if (!capacity_clean) {
-    SolveEffectiveCapacitiesVectorized();
+    SolveEffectiveCapacities();
     for (size_t i = 0; i < n; ++i) {
       solved_miss_ratio_[i] = params_cache_[i].profile.MissRatio(
           static_cast<uint64_t>(scratch_capacities_[i]), config_.mrc_mode);
@@ -570,8 +440,8 @@ void SimulatedMachine::SolveEpochVectorized(bool capacity_clean) {
 
   // Pass 1: contention-free IPS and bandwidth demands. Everything below is
   // elementwise over the flat arrays with the exact expression shapes of
-  // the scalar kernel, so the compiler may vectorize across apps without
-  // changing a single bit.
+  // the app-at-a-time reference, so the compiler may vectorize across apps
+  // without changing a single bit.
   scratch_capped_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const double mpi = soa_api_[i] * solved_miss_ratio_[i];
@@ -662,21 +532,16 @@ void SimulatedMachine::AdvanceTime(double dt) {
       ReserveEpochBuffers();
     }
     RefreshSoaInputs();
-    if (config_.epoch_kernel == EpochKernel::kScalar) {
-      SolveEpochScalar();
-      ++full_solves_;
+    // Bandwidth-only dirt (MBA / required-IPS moves) keeps the capacity
+    // fixed point valid; re-run just the elementwise passes against it.
+    const bool capacity_clean =
+        config_.incremental_epochs && solved_valid_ &&
+        solved_capacity_generation_ == capacity_generation_;
+    SolveEpoch(capacity_clean);
+    if (capacity_clean) {
+      ++partial_solves_;
     } else {
-      // Bandwidth-only dirt (MBA / required-IPS moves) keeps the capacity
-      // fixed point valid; re-run just the elementwise passes against it.
-      const bool capacity_clean =
-          config_.incremental_epochs && solved_valid_ &&
-          solved_capacity_generation_ == capacity_generation_;
-      SolveEpochVectorized(capacity_clean);
-      if (capacity_clean) {
-        ++partial_solves_;
-      } else {
-        ++full_solves_;
-      }
+      ++full_solves_;
     }
     solved_input_generation_ = input_generation_;
     solved_capacity_generation_ = capacity_generation_;

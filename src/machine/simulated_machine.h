@@ -39,9 +39,9 @@
 // just the cheap elementwise CPI/arbitration passes against the cached
 // capacities and miss ratios — bit-identical to a full solve, at a
 // fraction of the cost (this is the common move in MBA coordinate-descent
-// searches). Fully dirty ticks run either the vectorized SoA kernel or the
-// scalar reference kernel (MachineConfig::epoch_kernel); both produce
-// bit-identical results.
+// searches). Every solve runs one kernel over the SoA arrays; the tests hold
+// it bit for bit to an app-at-a-time reference that derives each input from
+// the public API (tests/machine_reference.h).
 // Snapshot()/Restore() copy the mutable value state (partitioning, counters,
 // RNG, last solved fixed point) in O(apps + clos), independent of simulated
 // history, so what-if evaluation can roll one machine back instead of
@@ -212,9 +212,9 @@ class SimulatedMachine {
 
   // Number of partial re-solves: epochs whose inputs changed only in the
   // bandwidth tier (MBA levels, required-IPS caps), which reuse the cached
-  // capacity fixed point and re-run just the elementwise passes. Only the
-  // vectorized kernel takes this tier; the scalar reference always solves
-  // in full.
+  // capacity fixed point and re-run just the elementwise passes. Only a
+  // machine with incremental_epochs takes this tier; without it every epoch
+  // solves in full.
   uint64_t partial_solves() const { return partial_solves_; }
 
   // --- Observation ---
@@ -294,30 +294,26 @@ class SimulatedMachine {
   // moved since the last rebuild. Only dirty epochs pay this; it is O(apps).
   void RefreshSoaInputs();
 
-  // Shared-capacity fixed point across the current CLOS masks; leaves the
+  // Shared-capacity fixed point across the current CLOS masks, over the
+  // flat SoA arrays (cached mask bits, split elementwise loops); leaves the
   // per-app result in scratch_capacities_. Aggregates the way-splitting
   // loop per CLOS (all sharers of a CLOS see the same mask), so each
   // fixed-point round costs O(ways * active_clos + apps) instead of
-  // O(ways * apps). Scalar reference implementation.
+  // O(ways * apps).
   void SolveEffectiveCapacities();
-  // Same fixed point over the flat SoA arrays (cached mask bits, split
-  // elementwise loops); bit-identical to the scalar version.
-  void SolveEffectiveCapacitiesVectorized();
 
   // Full coupled solve for the current inputs; writes the pre-noise fixed
-  // point into the solved_* arrays. The scalar kernel mirrors the original
-  // app-at-a-time code as the bit-identity reference; the vectorized kernel
-  // runs the same math as flat elementwise loops with identical expression
-  // shapes (so the compiler may vectorize across apps without changing
-  // results).
+  // point into the solved_* arrays. Runs the model as flat elementwise
+  // loops with the expression shapes of the app-at-a-time reference
+  // (tests/machine_reference.h), so the compiler may vectorize across apps
+  // without changing results.
   // `capacity_clean` skips the capacity fixed point and its miss-ratio
   // queries, reusing solved_capacity_/solved_miss_ratio_ from the previous
   // solve — valid exactly when no capacity-tier input changed since
   // (solved_capacity_generation_ == capacity_generation_) and bit-identical
   // to a full solve because the fixed point is a pure function of those
   // inputs.
-  void SolveEpochScalar();
-  void SolveEpochVectorized(bool capacity_clean);
+  void SolveEpoch(bool capacity_clean);
 
   // Applies the stored fixed point for one epoch of length dt: draws the
   // per-app noise (identical RNG stream on fast and slow paths), publishes
@@ -418,8 +414,6 @@ class SimulatedMachine {
   std::vector<double> scratch_clos_capacity_;
   std::vector<uint32_t> scratch_active_clos_;
   std::vector<double> scratch_miss_ratios_;
-  std::vector<double> scratch_mpis_;
-  std::vector<BandwidthRequest> scratch_requests_;
   std::vector<double> scratch_capped_;
   std::vector<double> scratch_grants_;
 };

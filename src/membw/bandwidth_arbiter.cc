@@ -54,22 +54,6 @@ void BandwidthArbiter::ArbitrateImpl(const std::vector<double>& capped,
   }
 }
 
-void BandwidthArbiter::ArbitrateInto(
-    const std::vector<BandwidthRequest>& requests,
-    std::vector<double>* grants) {
-  const size_t n = requests.size();
-  // Effective demand: MBA throttles injection before the controller sees it.
-  scratch_capped_.resize(n);
-  scratch_satisfied_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    CHECK_GE(requests[i].demand_bytes_per_sec, 0.0);
-    CHECK_GE(requests[i].cap_bytes_per_sec, 0.0);
-    scratch_capped_[i] = std::min(requests[i].demand_bytes_per_sec,
-                                  requests[i].cap_bytes_per_sec);
-  }
-  ArbitrateImpl(scratch_capped_, scratch_satisfied_, *grants);
-}
-
 void BandwidthArbiter::ArbitrateCappedInto(const std::vector<double>& capped,
                                            std::vector<double>* grants) {
   scratch_satisfied_.resize(capped.size());

@@ -37,21 +37,15 @@ class BandwidthArbiter {
   std::vector<double> Arbitrate(
       const std::vector<BandwidthRequest>& requests) const;
 
-  // Allocation-free variant for the epoch hot path: writes into `*grants`
-  // and reuses member scratch, so repeated calls at a stable request count
-  // never touch the heap.
-  void ArbitrateInto(const std::vector<BandwidthRequest>& requests,
-                     std::vector<double>* grants);
-
-  // Flat-array entry point for the SoA epoch kernel: `capped` must already
+  // Flat-array entry point for the epoch kernel: `capped` must already
   // hold min(demand, cap) per app, each >= 0 (not re-validated here).
-  // Allocation-free at a stable request count, like ArbitrateInto.
+  // Writes into `*grants` and reuses member scratch, so repeated calls at a
+  // stable request count never touch the heap.
   void ArbitrateCappedInto(const std::vector<double>& capped,
                            std::vector<double>* grants);
 
   // Sizes the scratch for up to `num_requests` requests.
   void Reserve(size_t num_requests) {
-    scratch_capped_.reserve(num_requests);
     scratch_satisfied_.reserve(num_requests);
   }
 
@@ -65,7 +59,6 @@ class BandwidthArbiter {
                      std::vector<double>& grants) const;
 
   double total_bytes_per_sec_;
-  std::vector<double> scratch_capped_;
   std::vector<uint8_t> scratch_satisfied_;
 };
 

@@ -5,7 +5,6 @@
 #include "cache/way_mask.h"
 #include "common/fault_injector.h"
 #include "common/logging.h"
-#include "resctrl/schemata.h"
 
 namespace copart {
 
@@ -58,7 +57,7 @@ Status Resctrl::RemoveGroup(ResctrlGroupId group) {
   }
   if (InjectFault(fault_points::kResctrlRemoveGroup)) {
     // Fires before any mutation: a failed rmdir leaves the group active and
-    // every task still bound to it (tests/resctrl_fs_test.cc pins this).
+    // every task still bound to it (tests/resctrl_test.cc pins this).
     return UnavailableError("injected: rmdir returned EBUSY");
   }
   // Apps bound to the removed CLOS fall back to the default group, like
@@ -169,47 +168,6 @@ Status Resctrl::SetAppPrefetch(AppId app, uint32_t percent) {
     return Status::Ok();  // Claims success; the write did not take.
   }
   machine_->SetAppPrefetchPercent(app, percent);
-  return Status::Ok();
-}
-
-Status Resctrl::WriteSchemata(ResctrlGroupId group, const std::string& text) {
-  if (!GroupActive(group.clos())) {
-    return NotFoundError("no such group");
-  }
-  Result<Schemata> schemata = ParseSchemata(text);
-  if (!schemata.ok()) {
-    return schemata.status();
-  }
-  // Validate everything before applying anything.
-  std::optional<WayMask> mask;
-  if (schemata->l3_mask.has_value()) {
-    Result<WayMask> parsed =
-        WayMask::FromBits(*schemata->l3_mask, machine_->config().llc.num_ways);
-    if (!parsed.ok()) {
-      return parsed.status();
-    }
-    mask = *parsed;
-  }
-  std::optional<MbaLevel> level;
-  if (schemata->mb_percent.has_value()) {
-    Result<MbaLevel> parsed = MbaLevel::FromPercent(*schemata->mb_percent);
-    if (!parsed.ok()) {
-      return parsed.status();
-    }
-    level = *parsed;
-  }
-  if (mask.has_value()) {
-    machine_->SetClosWayMask(group.clos(), *mask);
-  }
-  if (InjectFault(fault_points::kResctrlSchemataPartial)) {
-    // The L3 line took effect above but the MB line never applies — the
-    // partial-apply race that makes verify-readback necessary.
-    return UnavailableError(
-        "injected: schemata write applied L3 but failed before MB");
-  }
-  if (level.has_value()) {
-    machine_->SetClosMbaLevel(group.clos(), *level);
-  }
   return Status::Ok();
 }
 

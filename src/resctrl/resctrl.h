@@ -32,19 +32,19 @@ class FaultInjector;
 
 // Fault points of the resctrl surface (common/fault_injector.h). Real
 // /sys/fs/resctrl can reject or misapply writes: transient -EBUSY while
-// another writer holds rdtgroup_mutex, permanent CLOS exhaustion, and
-// partial application across resource lines. Each named point models one
-// such condition; all checks fire *before* any state mutation (so a failed
-// call leaves the interface untouched) except the explicitly-partial
-// points, which exist to exercise the controller's verify-readback and
-// rollback path.
+// another writer holds rdtgroup_mutex, and permanent CLOS exhaustion. Each
+// named point models one such condition; all checks fire *before* any state
+// mutation, so a failed call leaves the interface untouched. A torn
+// schemata (L3 line applied, MB line failed) arises from a set_mb fault
+// after a successful set_l3 write, which is the order the controller
+// writes them in.
 namespace fault_points {
-// CreateGroup / Mkdir: transient failure vs. permanent CLOS exhaustion.
+// CreateGroup: transient failure vs. permanent CLOS exhaustion.
 inline constexpr std::string_view kResctrlCreateGroup =
     "resctrl.create_group.unavailable";
 inline constexpr std::string_view kResctrlCreateGroupExhausted =
     "resctrl.create_group.exhausted";
-// RemoveGroup / Rmdir: transient failure; bound tasks stay bound.
+// RemoveGroup: transient failure; bound tasks stay bound.
 inline constexpr std::string_view kResctrlRemoveGroup =
     "resctrl.remove_group.unavailable";
 // Schemata writes: transient rejection of one resource line.
@@ -65,10 +65,6 @@ inline constexpr std::string_view kPrefetchWrite =
     "msr.prefetch_write.unavailable";
 inline constexpr std::string_view kPrefetchWriteSilent =
     "msr.prefetch_write.silent_drop";
-// WriteSchemata applies the L3 line, then fails before the MB line — the
-// partial-apply race the transactional controller must roll back.
-inline constexpr std::string_view kResctrlSchemataPartial =
-    "resctrl.schemata.partial_apply";
 }  // namespace fault_points
 
 class ResctrlGroupId {
@@ -118,12 +114,6 @@ class Resctrl {
 
   // Reads back the group's schemata, e.g. "L3:0=7ff;MB:0=100".
   std::string ReadSchemata(ResctrlGroupId group) const;
-
-  // Parses and applies a kernel-format schemata string (resctrl/schemata.h)
-  // transactionally: every present entry is validated against the machine's
-  // geometry before anything is applied, like the kernel's all-or-nothing
-  // schemata write. Entries may update L3 only, MB only, or both.
-  Status WriteSchemata(ResctrlGroupId group, const std::string& text);
 
   // --- Monitoring (the CMT / MBM analogue of Intel RDT) ---
   // Real resctrl exposes per-group llc_occupancy and mbm_*_bytes files;

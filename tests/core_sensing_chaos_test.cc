@@ -10,6 +10,10 @@
 //      backoff window — noise cannot park the controller forever.
 //
 // Runs under `ctest -L chaos` as well as the default pass.
+#include <array>
+#include <cstdint>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "common/fault_injector.h"
@@ -33,22 +37,41 @@ PmcSensingParams NoisySensing(uint64_t seed) {
   return sensing;
 }
 
+// The resctrl points every schedule arms: transient rejections first, then
+// silent drops.
+constexpr std::array<std::string_view, 4> kArmedPoints = {
+    fault_points::kResctrlSetL3, fault_points::kResctrlSetMb,
+    fault_points::kResctrlSetL3Silent, fault_points::kResctrlSetMbSilent};
+using PointQueries = std::array<uint64_t, kArmedPoints.size()>;
+
 void ArmResctrlFaults(FaultInjector& injector, double probability) {
   FaultSpec transient;
   transient.probability = probability;
   transient.burst_length = 2;
   FaultSpec silent;
   silent.probability = probability / 2.0;
-  injector.Arm(fault_points::kResctrlSetL3, transient);
-  injector.Arm(fault_points::kResctrlSetMb, transient);
-  injector.Arm(fault_points::kResctrlSetL3Silent, silent);
-  injector.Arm(fault_points::kResctrlSetMbSilent, silent);
-  injector.Arm(fault_points::kResctrlSchemataPartial, silent);
+  for (size_t p = 0; p < kArmedPoints.size(); ++p) {
+    injector.Arm(kArmedPoints[p], p < 2 ? transient : silent);
+  }
+}
+
+void AddPointQueries(const FaultInjector& injector, PointQueries* queries) {
+  for (size_t p = 0; p < kArmedPoints.size(); ++p) {
+    (*queries)[p] += injector.PointQueries(kArmedPoints[p]);
+  }
+}
+
+// A point armed but never queried injects nothing, and total_failures()
+// cannot tell: the other points meet it on their own.
+void ExpectEveryArmedPointQueried(const PointQueries& queries) {
+  for (size_t p = 0; p < kArmedPoints.size(); ++p) {
+    EXPECT_GT(queries[p], 0u) << kArmedPoints[p] << " was never queried";
+  }
 }
 
 // Property 1: the §6.3-style serving consolidation (memcached LC + two
 // batch apps) with noisy sensing on top of the schemata fault storm.
-void RunLcFloorSchedule(uint64_t seed) {
+void RunLcFloorSchedule(uint64_t seed, PointQueries* queries) {
   FaultInjector injector(seed);
   MachineConfig machine_config;
   machine_config.fault_injector = &injector;
@@ -100,22 +123,26 @@ void RunLcFloorSchedule(uint64_t seed) {
   // The schedule exercised both hazard sources.
   EXPECT_GT(injector.total_failures(), 0u) << "seed " << seed;
   EXPECT_GT(monitor.sensed_samples(), 0u) << "seed " << seed;
+  AddPointQueries(injector, queries);
 }
 
 TEST(SensingChaosTest, LcClosNeverDropsBelowFloorUnderNoiseAndFaults) {
+  PointQueries queries{};
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RunLcFloorSchedule(seed);
+    RunLcFloorSchedule(seed, &queries);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
+  ExpectEveryArmedPointQueried(queries);
 }
 
 // Property 2: a batch consolidation with a hair-trigger trend governor
 // (any measured unfairness increase during exploration engages BACKOFF).
 // Whenever the FSM is observed in BACKOFF, a re-probe or a degraded entry
 // must follow within backoff_periods ticks.
-void RunBackoffSchedule(uint64_t seed, uint64_t* total_backoffs) {
+void RunBackoffSchedule(uint64_t seed, uint64_t* total_backoffs,
+                        PointQueries* queries) {
   FaultInjector injector(seed);
   MachineConfig machine_config;
   machine_config.fault_injector = &injector;
@@ -174,12 +201,14 @@ void RunBackoffSchedule(uint64_t seed, uint64_t* total_backoffs) {
     }
   }
   *total_backoffs += manager.trend_backoffs();
+  AddPointQueries(injector, queries);
 }
 
 TEST(SensingChaosTest, BackoffAlwaysReprobesWithinItsWindow) {
   uint64_t total_backoffs = 0;
+  PointQueries queries{};
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RunBackoffSchedule(seed, &total_backoffs);
+    RunBackoffSchedule(seed, &total_backoffs, &queries);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
@@ -187,6 +216,7 @@ TEST(SensingChaosTest, BackoffAlwaysReprobesWithinItsWindow) {
   // The property must not pass vacuously: the hair-trigger governor has to
   // have engaged at least once across the schedules.
   EXPECT_GT(total_backoffs, 0u);
+  ExpectEveryArmedPointQueried(queries);
 }
 
 }  // namespace

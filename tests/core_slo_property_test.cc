@@ -1,13 +1,15 @@
 // Chaos property for the SLO-aware serving mode (DESIGN.md §9, §15): under
 // fault injection on the resctrl actuation surface — transient schemata
-// rejections, silent drops, partial applies — the latency-critical app's
-// CLOS must NEVER be left narrower than SloParams::lc_way_floor, neither
-// in the governor's plan nor in the actuated way mask. The property is
-// checked for EVERY registered SloGovernor: the learned governors bias the
-// plan through corrections and way-delta arms, and none of that machinery
-// may reach below the floor. Runs under `ctest -L chaos` as well as the
-// default pass.
+// rejections and silent drops — the latency-critical app's CLOS must NEVER
+// be left narrower than SloParams::lc_way_floor, neither in the governor's
+// plan nor in the actuated way mask. The property is checked for EVERY
+// registered SloGovernor: the learned governors bias the plan through
+// corrections and way-delta arms, and none of that machinery may reach
+// below the floor. Runs under `ctest -L chaos` as well as the default pass.
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -24,11 +26,27 @@ namespace {
 
 constexpr uint32_t kWayFloor = 2;
 
+// The resctrl points every schedule arms: transient rejections first, then
+// silent drops.
+constexpr std::array<std::string_view, 4> kArmedPoints = {
+    fault_points::kResctrlSetL3, fault_points::kResctrlSetMb,
+    fault_points::kResctrlSetL3Silent, fault_points::kResctrlSetMbSilent};
+using PointQueries = std::array<uint64_t, kArmedPoints.size()>;
+
+// A point armed but never queried injects nothing, and total_failures()
+// cannot tell: the other points meet it on their own.
+void ExpectEveryArmedPointQueried(const PointQueries& queries) {
+  for (size_t p = 0; p < kArmedPoints.size(); ++p) {
+    EXPECT_GT(queries[p], 0u) << kArmedPoints[p] << " was never queried";
+  }
+}
+
 // One fault schedule: build the §6.3-style managed machine (memcached LC +
 // two batch apps), arm the schemata points, drive a load ramp that forces
 // the governor to resize in both directions, and check the floor after
 // every control period.
-void RunSchedule(const std::string& governor, uint64_t seed) {
+void RunSchedule(const std::string& governor, uint64_t seed,
+                 PointQueries* queries) {
   FaultInjector injector(seed);
   MachineConfig machine_config;
   machine_config.fault_injector = &injector;
@@ -70,11 +88,9 @@ void RunSchedule(const std::string& governor, uint64_t seed) {
   transient.burst_length = 2;
   FaultSpec silent;
   silent.probability = 0.1;
-  injector.Arm(fault_points::kResctrlSetL3, transient);
-  injector.Arm(fault_points::kResctrlSetMb, transient);
-  injector.Arm(fault_points::kResctrlSetL3Silent, silent);
-  injector.Arm(fault_points::kResctrlSetMbSilent, silent);
-  injector.Arm(fault_points::kResctrlSchemataPartial, silent);
+  for (size_t p = 0; p < kArmedPoints.size(); ++p) {
+    injector.Arm(kArmedPoints[p], p < 2 ? transient : silent);
+  }
 
   // Load ramp: quiet -> burst past the protect threshold -> quiet, so the
   // governor grows, protects, and shrinks the slice under fire.
@@ -110,30 +126,37 @@ void RunSchedule(const std::string& governor, uint64_t seed) {
   // The schedule actually exercised the fault surface.
   EXPECT_GT(injector.total_failures(), 0u)
       << governor << " seed " << seed;
+  for (size_t p = 0; p < kArmedPoints.size(); ++p) {
+    (*queries)[p] += injector.PointQueries(kArmedPoints[p]);
+  }
 }
 
 TEST(SloChaosPropertyTest, LcClosNeverDropsBelowFloorUnderFaults) {
   // Every registered governor faces the same fault schedules; the floor is
   // a contract of the SLO mode, not of one governor implementation.
+  PointQueries queries{};
   for (const std::string& governor : RegisteredSloGovernorNames()) {
     SCOPED_TRACE(governor);
     for (uint64_t seed = 1; seed <= 6; ++seed) {
-      RunSchedule(governor, seed);
+      RunSchedule(governor, seed, &queries);
       if (::testing::Test::HasFatalFailure()) {
         return;
       }
     }
   }
+  ExpectEveryArmedPointQueried(queries);
 }
 
 TEST(SloChaosPropertyTest, ThresholdGovernorSurvivesTheFullScheduleSet) {
   // The default governor keeps the original deeper schedule sweep.
+  PointQueries queries{};
   for (uint64_t seed = 7; seed <= 12; ++seed) {
-    RunSchedule("threshold", seed);
+    RunSchedule("threshold", seed, &queries);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
   }
+  ExpectEveryArmedPointQueried(queries);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // The headline guarantee of the parallel sweep engine: every fan-out site
 // produces bit-identical results regardless of the worker thread count.
 // Each comparison is EXPECT_EQ on raw doubles — no tolerance.
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
+#include "core/resource_manager.h"
 #include "harness/chaos.h"
 #include "harness/experiment.h"
 #include "harness/governor_ab.h"
@@ -26,7 +29,10 @@
 #include "harness/serve.h"
 #include "harness/static_oracle.h"
 #include "machine/simulated_machine.h"
+#include "machine_reference.h"
 #include "obs/obs.h"
+#include "pmc/perf_monitor.h"
+#include "resctrl/resctrl.h"
 #include "workload/workload.h"
 
 namespace copart {
@@ -132,39 +138,82 @@ TEST(HarnessDeterminismTest, StaticOracleIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(HarnessDeterminismTest, ExperimentIsBitIdenticalAcrossEpochKernels) {
+// RunExperiment's control loop under CoPart (launch and admit every app,
+// then one AdvanceTime and one Tick per control period), with the machine's
+// solve checked against the reference (machine_reference.h) after every
+// epoch. Returns each app's whole-run IPS, empty after a mismatch.
+std::vector<double> CoPartIpsCheckedEveryEpoch(const WorkloadMix& mix,
+                                               const ExperimentConfig& config) {
+  const uint32_t cores =
+      config.machine.num_cores / static_cast<uint32_t>(mix.apps.size());
+  SimulatedMachine machine(config.machine);
+  Resctrl resctrl(&machine);
+  PerfMonitor monitor(&machine);
+  std::vector<AppId> apps;
+  for (const WorkloadDescriptor& descriptor : mix.apps) {
+    Result<AppId> app = machine.LaunchApp(descriptor, cores);
+    CHECK(app.ok()) << app.status().ToString();
+    apps.push_back(*app);
+  }
+  ExperimentPolicy policy = CoPartFactory()(machine, apps, config.pool);
+  ResourceManager manager(&resctrl, &monitor, policy.params,
+                          std::move(policy.policy));
+  manager.SetResourcePool(config.pool);
+  for (const AppId app : apps) {
+    EXPECT_TRUE(manager.AddApp(app).ok()) << mix.name;
+  }
+  const int periods = static_cast<int>(
+      std::llround(config.duration_sec / config.control_period_sec));
+  for (int period = 0; period < periods; ++period) {
+    machine.AdvanceTime(config.control_period_sec);
+    const std::string mismatch = machine_reference::SolveMismatch(machine);
+    if (!mismatch.empty()) {
+      ADD_FAILURE() << mix.name << " period " << period << ": " << mismatch;
+      return {};
+    }
+    manager.Tick();
+  }
+  std::vector<double> ips;
+  for (const AppId app : apps) {
+    ips.push_back(machine.Counters(app).instructions / machine.now());
+  }
+  return ips;
+}
+
+TEST(HarnessDeterminismTest, ExperimentMatchesTheReferenceEveryEpoch) {
   // The epoch fast path (DESIGN.md §12) must be invisible to results: a
-  // managed experiment — partitioning churn, phase crossings, noise — lands
-  // on the exact same doubles whether the machine uses the vectorized SoA
-  // kernel with incremental ticks (the default), the same kernel solving
-  // every epoch, or the scalar reference kernel.
+  // managed experiment — partitioning churn, noise — lands on the exact
+  // same doubles whether the machine ticks incrementally (the default) or
+  // solves every epoch, and every epoch's solve equals the reference.
   const WorkloadMix mix = MakeMix(MixFamily::kHighBoth, 4);
   ExperimentConfig config;
   config.duration_sec = 10.0;
   const ExperimentResult reference = RunExperiment(mix, CoPartFactory(), config);
 
-  struct Variant {
-    const char* name;
-    EpochKernel kernel;
-    bool incremental;
-  };
-  const Variant variants[] = {
-      {"vectorized_full", EpochKernel::kVectorized, false},
-      {"scalar_incremental", EpochKernel::kScalar, true},
-      {"scalar_full", EpochKernel::kScalar, false},
-  };
-  for (const Variant& variant : variants) {
-    ExperimentConfig cell = config;
-    cell.machine.epoch_kernel = variant.kernel;
-    cell.machine.incremental_epochs = variant.incremental;
-    const ExperimentResult result = RunExperiment(mix, CoPartFactory(), cell);
-    EXPECT_EQ(result.unfairness, reference.unfairness) << variant.name;
-    EXPECT_EQ(result.throughput_geomean, reference.throughput_geomean)
-        << variant.name;
-    ASSERT_EQ(result.slowdowns.size(), reference.slowdowns.size());
-    for (size_t i = 0; i < reference.slowdowns.size(); ++i) {
-      EXPECT_EQ(result.slowdowns[i], reference.slowdowns[i])
-          << variant.name << " app " << i;
+  ExperimentConfig full_solve = config;
+  full_solve.machine.incremental_epochs = false;
+  const ExperimentResult result =
+      RunExperiment(mix, CoPartFactory(), full_solve);
+  EXPECT_EQ(result.unfairness, reference.unfairness);
+  EXPECT_EQ(result.throughput_geomean, reference.throughput_geomean);
+  ASSERT_EQ(result.slowdowns.size(), reference.slowdowns.size());
+  for (size_t i = 0; i < reference.slowdowns.size(); ++i) {
+    EXPECT_EQ(result.slowdowns[i], reference.slowdowns[i]) << "app " << i;
+  }
+
+  // The same run again, checked epoch by epoch. No Table-2 benchmark has
+  // phases, so a second run adds a phased app to the mix: its crossings
+  // re-derive the machine's cached phase parameters under control.
+  WorkloadMix phased = mix;
+  phased.name += "+PSC";
+  phased.apps.push_back(PhasedScanCompute(/*period_sec=*/1.0));
+  for (const WorkloadMix& checked : {mix, phased}) {
+    const ExperimentResult want =
+        RunExperiment(checked, CoPartFactory(), config);
+    const std::vector<double> ips = CoPartIpsCheckedEveryEpoch(checked, config);
+    ASSERT_EQ(ips.size(), want.avg_ips.size()) << checked.name;
+    for (size_t i = 0; i < ips.size(); ++i) {
+      EXPECT_EQ(ips[i], want.avg_ips[i]) << checked.name << " app " << i;
     }
   }
 }

@@ -1,8 +1,8 @@
 // The epoch kernel must be allocation-free in steady state: AdvanceTime on a
 // warmed-up machine may not touch the heap, whatever the app count or MRC
 // mode. This pins the perf work in simulated_machine.cc (member scratch
-// buffers, cached EffectiveParams, ArbitrateInto) against regressions that
-// would silently reintroduce per-epoch malloc traffic.
+// buffers, cached EffectiveParams, ArbitrateCappedInto) against regressions
+// that would silently reintroduce per-epoch malloc traffic.
 //
 // Counting is done by the replaced global operator new of alloc_counter.cc.
 #include <string>

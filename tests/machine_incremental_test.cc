@@ -10,14 +10,15 @@
 //   - capacity-tier mutations (way masks, CLOS membership, launch/terminate,
 //     phase crossings) force a full solve;
 //   - value-identical mutator writes dirty nothing;
-//   - the scalar reference kernel and incremental_epochs=false always solve
-//     in full.
-// Whatever tier an epoch takes, the outputs must be bit-identical across all
-// kernel configurations — the twin-machine test at the bottom locks that in
+//   - incremental_epochs=false always solves in full.
+// Whatever tier an epoch takes, the outputs must be bit-identical with and
+// without incremental epochs, and equal to the app-at-a-time reference
+// (machine_reference.h) — the twin-machine test at the bottom locks that in
 // over a randomized mutation schedule including a phased workload, noise and
 // required-IPS flips.
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "common/rng.h"
 #include "machine/machine_config.h"
 #include "machine/simulated_machine.h"
+#include "machine_reference.h"
 #include "membw/mba.h"
 #include "workload/workload.h"
 
@@ -51,16 +53,15 @@ std::vector<AppId> LaunchThreeSteadyApps(SimulatedMachine& machine) {
   return apps;
 }
 
-MachineConfig VectorizedIncremental() {
+MachineConfig Incremental() {
   MachineConfig config;
   config.ips_noise_sigma = 0.0;
-  config.epoch_kernel = EpochKernel::kVectorized;
   config.incremental_epochs = true;
   return config;
 }
 
 TEST(MachineIncrementalTest, CleanEpochsReplayWithoutSolving) {
-  SimulatedMachine machine(VectorizedIncremental());
+  SimulatedMachine machine(Incremental());
   LaunchThreeSteadyApps(machine);
   machine.AdvanceTime(0.1);
   EXPECT_EQ(machine.full_solves(), 1u);
@@ -74,7 +75,7 @@ TEST(MachineIncrementalTest, CleanEpochsReplayWithoutSolving) {
 }
 
 TEST(MachineIncrementalTest, BandwidthOnlyMutationsTakePartialSolve) {
-  SimulatedMachine machine(VectorizedIncremental());
+  SimulatedMachine machine(Incremental());
   const std::vector<AppId> apps = LaunchThreeSteadyApps(machine);
   machine.AdvanceTime(0.1);
   ASSERT_EQ(machine.full_solves(), 1u);
@@ -97,7 +98,7 @@ TEST(MachineIncrementalTest, BandwidthOnlyMutationsTakePartialSolve) {
 }
 
 TEST(MachineIncrementalTest, CapacityMutationsForceFullSolve) {
-  SimulatedMachine machine(VectorizedIncremental());
+  SimulatedMachine machine(Incremental());
   const std::vector<AppId> apps = LaunchThreeSteadyApps(machine);
   machine.AdvanceTime(0.1);
   ASSERT_EQ(machine.full_solves(), 1u);
@@ -126,7 +127,7 @@ TEST(MachineIncrementalTest, CapacityMutationsForceFullSolve) {
 TEST(MachineIncrementalTest, MixedMutationsEscalateToFullSolve) {
   // When one epoch sees both a bandwidth-tier and a capacity-tier mutation,
   // the capacity tier wins: the epoch must solve in full.
-  SimulatedMachine machine(VectorizedIncremental());
+  SimulatedMachine machine(Incremental());
   LaunchThreeSteadyApps(machine);
   machine.AdvanceTime(0.1);
   ASSERT_EQ(machine.full_solves(), 1u);
@@ -139,7 +140,7 @@ TEST(MachineIncrementalTest, MixedMutationsEscalateToFullSolve) {
 }
 
 TEST(MachineIncrementalTest, ValueIdenticalWritesStayClean) {
-  SimulatedMachine machine(VectorizedIncremental());
+  SimulatedMachine machine(Incremental());
   const std::vector<AppId> apps = LaunchThreeSteadyApps(machine);
   machine.SetClosWayMask(1, WayMask::Contiguous(0, 4));
   machine.SetClosMbaLevel(1, MbaLevel::FromPercentChecked(40));
@@ -160,7 +161,7 @@ TEST(MachineIncrementalTest, ValueIdenticalWritesStayClean) {
 }
 
 TEST(MachineIncrementalTest, IncrementalOffSolvesEveryEpoch) {
-  MachineConfig config = VectorizedIncremental();
+  MachineConfig config = Incremental();
   config.incremental_epochs = false;
   SimulatedMachine machine(config);
   LaunchThreeSteadyApps(machine);
@@ -172,31 +173,11 @@ TEST(MachineIncrementalTest, IncrementalOffSolvesEveryEpoch) {
       << "the partial tier requires incremental_epochs";
 }
 
-TEST(MachineIncrementalTest, ScalarKernelNeverTakesPartialTier) {
-  MachineConfig config = VectorizedIncremental();
-  config.epoch_kernel = EpochKernel::kScalar;
-  SimulatedMachine machine(config);
-  LaunchThreeSteadyApps(machine);
-  machine.AdvanceTime(0.1);
-  ASSERT_EQ(machine.full_solves(), 1u);
-
-  // Clean epochs still replay (the dirty set is kernel-independent)...
-  machine.AdvanceTime(0.1);
-  EXPECT_EQ(machine.full_solves(), 1u);
-
-  // ...but bandwidth-only dirt re-solves in full: the scalar kernel is the
-  // bit-identity reference and takes no shortcuts.
-  machine.SetClosMbaLevel(1, MbaLevel::FromPercentChecked(40));
-  machine.AdvanceTime(0.1);
-  EXPECT_EQ(machine.full_solves(), 2u);
-  EXPECT_EQ(machine.partial_solves(), 0u);
-}
-
 TEST(MachineIncrementalTest, ForcedDirtyAlwaysResolves) {
   // Alternating a CLOS mask between two values every epoch defeats the
   // cache entirely: every tick must be a fresh full solve, and the counter
   // must track epochs 1:1.
-  SimulatedMachine machine(VectorizedIncremental());
+  SimulatedMachine machine(Incremental());
   LaunchThreeSteadyApps(machine);
   machine.AdvanceTime(0.1);
   ASSERT_EQ(machine.full_solves(), 1u);
@@ -207,34 +188,32 @@ TEST(MachineIncrementalTest, ForcedDirtyAlwaysResolves) {
   EXPECT_EQ(machine.full_solves(), 21u);
 }
 
-// Twin-machine bit-identity: four machines with every kernel configuration
-// run the same randomized schedule (mask/MBA/required-IPS churn, a phased
-// workload crossing boundaries, multiplicative noise) and must agree
-// bitwise on every output of every epoch.
+// Twin-machine bit-identity: an incremental machine and one that solves
+// every epoch run the same randomized schedule (mask/MBA/required-IPS churn,
+// a phased workload crossing boundaries, multiplicative noise) and must
+// agree bitwise on every output of every epoch; after every epoch each
+// machine's solve must also equal the reference, whichever tier (full,
+// partial or replay) produced it.
 class MachineIncrementalTwinTest : public ::testing::TestWithParam<MrcMode> {};
 
-TEST_P(MachineIncrementalTwinTest, AllKernelConfigsBitIdentical) {
+TEST_P(MachineIncrementalTwinTest, TwinsMatchEachOtherAndTheReference) {
   MachineConfig base;
   base.mrc_mode = GetParam();
   base.ips_noise_sigma = 0.01;
 
   struct Variant {
     const char* name;
-    EpochKernel kernel;
     bool incremental;
   };
   const Variant variants[] = {
-      {"vectorized_incremental", EpochKernel::kVectorized, true},
-      {"vectorized_full", EpochKernel::kVectorized, false},
-      {"scalar_incremental", EpochKernel::kScalar, true},
-      {"scalar_full", EpochKernel::kScalar, false},
+      {"incremental", true},
+      {"full_solve", false},
   };
 
   std::vector<SimulatedMachine> machines;
-  std::vector<std::vector<AppId>> apps(4);
+  std::vector<std::vector<AppId>> apps(std::size(variants));
   for (const Variant& variant : variants) {
     MachineConfig config = base;
-    config.epoch_kernel = variant.kernel;
     config.incremental_epochs = variant.incremental;
     machines.emplace_back(config);
   }
@@ -280,6 +259,11 @@ TEST_P(MachineIncrementalTwinTest, AllKernelConfigsBitIdentical) {
     for (SimulatedMachine& machine : machines) {
       machine.AdvanceTime(0.01);
     }
+    for (size_t m = 0; m < machines.size(); ++m) {
+      ASSERT_EQ(machine_reference::SolveMismatch(machines[m]), "")
+          << "epoch " << epoch << ": " << variants[m].name
+          << " diverged from the reference";
+    }
     for (size_t m = 1; m < machines.size(); ++m) {
       for (size_t i = 0; i < workloads.size(); ++i) {
         const AppEpochSnapshot& ref = machines[0].LastEpoch(apps[0][i]);
@@ -300,15 +284,13 @@ TEST_P(MachineIncrementalTwinTest, AllKernelConfigsBitIdentical) {
   }
 
   // The schedule must actually have exercised all three tiers on the
-  // incremental vectorized machine, or the bit-identity claim above is
-  // vacuous.
+  // incremental machine, or the bit-identity claim above is vacuous.
   EXPECT_GT(machines[0].full_solves(), 0u);
   EXPECT_GT(machines[0].partial_solves(), 0u);
   EXPECT_LT(machines[0].full_solves() + machines[0].partial_solves(), 400u)
       << "expected some clean replay epochs";
-  // The full-solve variants solve every epoch.
+  // The full-solve twin solves every epoch.
   EXPECT_EQ(machines[1].full_solves(), 400u);
-  EXPECT_EQ(machines[3].full_solves(), 400u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, MachineIncrementalTwinTest,

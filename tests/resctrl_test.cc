@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injector.h"
 #include "workload/workload.h"
 
 namespace copart {
@@ -187,6 +188,47 @@ TEST_F(ResctrlTest, OperationsOnRemovedGroupFail) {
   ASSERT_TRUE(resctrl_.RemoveGroup(*group).ok());
   EXPECT_EQ(resctrl_.SetCacheMask(*group, 0x1).code(), StatusCode::kNotFound);
   EXPECT_EQ(resctrl_.SetMbaPercent(*group, 50).code(), StatusCode::kNotFound);
+}
+
+// The same interface with a fault injector wired through MachineConfig.
+class ResctrlFaultTest : public ::testing::Test {
+ protected:
+  ResctrlFaultTest()
+      : injector_(0xF5), machine_(MakeConfig(&injector_)),
+        resctrl_(&machine_) {}
+
+  static MachineConfig MakeConfig(FaultInjector* injector) {
+    MachineConfig config;
+    config.fault_injector = injector;
+    return config;
+  }
+
+  FaultInjector injector_;  // Must outlive the machine.
+  SimulatedMachine machine_;
+  Resctrl resctrl_;
+};
+
+TEST_F(ResctrlFaultTest, RemoveGroupUnderFaultIsAtomic) {
+  Result<AppId> app = machine_.LaunchApp(Cg(), 4);
+  ASSERT_TRUE(app.ok());
+  Result<ResctrlGroupId> group = resctrl_.CreateGroup("g");
+  ASSERT_TRUE(group.ok());
+  ASSERT_TRUE(resctrl_.AssignApp(*group, *app).ok());
+  FaultSpec spec;
+  spec.one_shot_queries = {0};
+  injector_.Arm(fault_points::kResctrlRemoveGroup, spec);
+  // The failed removal must leave the group fully intact: still listed,
+  // and its task still bound to it (no half-removed state).
+  EXPECT_EQ(resctrl_.RemoveGroup(*group).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(resctrl_.GroupNames().size(), 1u);
+  EXPECT_TRUE(resctrl_.FindGroup("g").ok());
+  EXPECT_EQ(machine_.AppClos(*app), group->clos());
+  // The retry (fault cleared) completes the removal and returns the task
+  // to the default group.
+  EXPECT_TRUE(resctrl_.RemoveGroup(*group).ok());
+  EXPECT_EQ(resctrl_.GroupNames().size(), 0u);
+  EXPECT_EQ(machine_.AppClos(*app), 0u);
+  EXPECT_EQ(injector_.PointQueries(fault_points::kResctrlRemoveGroup), 2u);
 }
 
 }  // namespace

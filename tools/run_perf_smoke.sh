@@ -27,9 +27,10 @@
 # MANAGED_FLOOR epochs/sec at 4 apps, and snapshot-based what-if evaluation
 # must be at least WHATIF_SPEEDUP_MIN times faster than fresh-machine
 # re-simulation over the oracle-style candidate schedule. The bench's
-# --scalar-check mode (vectorized vs scalar vs incremental kernels, bitwise)
-# runs first: a divergence there is a correctness bug, and perf numbers from
-# a wrong kernel are meaningless.
+# --scalar-check mode (incremental vs full-solve machines and the reference
+# solve of tests/machine_reference.h, bitwise) runs first: a divergence
+# there is a correctness bug, and perf numbers from a wrong kernel are
+# meaningless.
 #
 # bench_serve (the request-serving subsystem, DESIGN.md §9) is gated the
 # same way against BENCH_serve.json: simulated requests/sec of the raw

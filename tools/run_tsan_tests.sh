@@ -48,15 +48,14 @@ TESTS=(
   # SLO governors: the governor A/B harness fans scenario x governor cells
   # out on the pool (learned-governor state is per-cell, never shared), the
   # chaos floor property runs every registered governor under fault
-  # schedules, and the new surrogate/trace-replay suites back the scenarios
-  # the A/B grid is built from. The determinism suite below also pins the
-  # A/B JSON + CSV byte-identical across thread counts.
+  # schedules, and the surrogate suites back the scenarios the A/B grid is
+  # built from. The determinism suite below also pins the A/B JSON + CSV
+  # byte-identical across thread counts.
   slo_governor_test
   core_slo_property_test
   harness_governor_ab_golden_test
   serve_queue_model_test
   workload_phases_test
-  trace_replay_test
   harness_determinism_test
   harness_golden_test
   harness_heatmap_test
