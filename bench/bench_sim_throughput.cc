@@ -18,17 +18,20 @@
 //   --scalar-check      no measurement: lockstep-run an incremental and a
 //                       full-solve machine over a seeded mutation schedule
 //                       (mask/MBA/CLOS/required flips, phase crossings,
-//                       snapshot/rollback, what-if parity), hold every
-//                       epoch's solve to the app-at-a-time reference
-//                       (tests/machine_reference.h), and exit non-zero on
-//                       any bitwise divergence. tools/run_perf_smoke.sh
-//                       runs this so vectorization can never silently
-//                       change results.
+//                       snapshot/rollback, what-if parity) once over a
+//                       light app set and once over a bandwidth-heavy one,
+//                       hold every epoch's solve to the app-at-a-time
+//                       reference (tests/machine_reference.h), and exit
+//                       non-zero on any bitwise divergence.
+//                       tools/run_perf_smoke.sh runs this so vectorization
+//                       can never silently change results.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -294,16 +297,14 @@ bool CompareApp(const char* what, AppId id, const SimulatedMachine& reference,
 }
 
 // Lockstep-runs two machines — incremental (the default) and full-solve —
-// through a seeded schedule of partitioning churn and phase crossings,
-// comparing every epoch output bitwise and holding each machine's solve to
-// the reference. Also exercises snapshot/rollback replay and what-if
-// parity.
-int RunScalarCheck() {
-  const std::vector<WorkloadDescriptor> registry = AllTable2Benchmarks();
-  std::vector<WorkloadDescriptor> workloads(registry.begin(),
-                                            registry.begin() + 3);
-  workloads.push_back(PhasedScanCompute());
-
+// over `workloads`, each on `cores` cores in its own CLOS, through a seeded
+// schedule of partitioning churn and phase crossings, comparing every epoch
+// output bitwise and holding each machine's solve to the reference. Also
+// exercises snapshot/rollback replay. Returns the fast-path epochs, or
+// nullopt once a divergence is printed.
+std::optional<uint64_t> RunLockstep(
+    const char* set, const std::vector<WorkloadDescriptor>& workloads,
+    uint32_t cores) {
   auto make_machine = [&](bool incremental) {
     MachineConfig config;
     config.ips_noise_sigma = 0.01;  // Exercise the noise stream too.
@@ -317,7 +318,7 @@ int RunScalarCheck() {
   std::vector<AppId> apps;
   for (size_t i = 0; i < workloads.size(); ++i) {
     for (SimulatedMachine* machine : machines) {
-      Result<AppId> app = machine->LaunchApp(workloads[i], 2);
+      Result<AppId> app = machine->LaunchApp(workloads[i], cores);
       CHECK(app.ok());
       machine->AssignAppToClos(*app, static_cast<uint32_t>(i + 1));
       if (machine == &fast) {
@@ -364,7 +365,7 @@ int RunScalarCheck() {
       }
     }
     for (SimulatedMachine* machine : machines) {
-      machine->AdvanceTime(0.01);  // Small dt: PhasedScanCompute crosses.
+      machine->AdvanceTime(0.01);
     }
     for (const AppId id : apps) {
       if (!CompareApp("incremental-vs-full", id, full, fast)) {
@@ -381,8 +382,9 @@ int RunScalarCheck() {
       }
     }
     if (failures > 0) {
-      std::fprintf(stderr, "scalar-check: diverged at epoch %d\n", epoch);
-      return 1;
+      std::fprintf(stderr, "scalar-check: %s set diverged at epoch %d\n",
+                   set, epoch);
+      return std::nullopt;
     }
   }
   CHECK_GT(fast.full_solves(), 0u);
@@ -409,11 +411,33 @@ int RunScalarCheck() {
       const AppEpochSnapshot& expect = replay[cursor++];
       if (!SameBits(expect.ips, fast.LastEpoch(id).ips)) {
         std::fprintf(stderr,
-                     "scalar-check: MISMATCH [rollback-replay] epoch %d\n",
-                     epoch);
-        return 1;
+                     "scalar-check: MISMATCH [rollback-replay] %s set "
+                     "epoch %d\n",
+                     set, epoch);
+        return std::nullopt;
       }
     }
+  }
+  return full.full_solves() - fast.full_solves();
+}
+
+// Runs the lockstep schedule over a light app set and a bandwidth-heavy
+// one: near memory-controller saturation the contention term amplifies a
+// last-bit change in the bandwidth tier (the solve's total grant, say) into
+// every output, where a light load absorbs it. PhasedScanCompute(1.0)
+// crosses a phase every 100 epochs of 10 ms. Then checks what-if parity.
+int RunScalarCheck() {
+  const std::vector<WorkloadDescriptor> registry = AllTable2Benchmarks();
+  const std::optional<uint64_t> light = RunLockstep(
+      "light", {registry[0], registry[1], registry[2], PhasedScanCompute(1.0)},
+      2);
+  if (!light.has_value()) {
+    return 1;
+  }
+  const std::optional<uint64_t> heavy = RunLockstep(
+      "heavy", {OceanCp(), Cg(), Ft(), PhasedScanCompute(1.0)}, 4);
+  if (!heavy.has_value()) {
+    return 1;
   }
 
   // What-if parity: the snapshot evaluator must match fresh PredictOutcome.
@@ -439,11 +463,11 @@ int RunScalarCheck() {
   }
 
   std::printf(
-      "scalar-check: OK (2000 churned epochs bit-identical between the "
-      "incremental and full-solve machines and the reference solve; %llu "
-      "fast-path epochs; rollback replay and what-if parity exact)\n",
-      static_cast<unsigned long long>(full.full_solves() -
-                                      fast.full_solves()));
+      "scalar-check: OK (2 app sets x 2000 churned epochs bit-identical "
+      "between the incremental and full-solve machines and the reference "
+      "solve; %llu fast-path epochs; rollback replay and what-if parity "
+      "exact)\n",
+      static_cast<unsigned long long>(*light + *heavy));
   return 0;
 }
 

@@ -34,6 +34,7 @@ ResourceManager::ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
                                  std::unique_ptr<PartitionPolicy> policy)
     : resctrl_(resctrl),
       monitor_(monitor),
+      actuator_(resctrl),
       params_(params),
       throttle_(resctrl->machine().config().mba_cap_exponent),
       rng_(params.seed),
@@ -101,27 +102,17 @@ Status ResourceManager::AddApp(AppId app) {
       return ResourceExhaustedError(
           "resource pool has fewer ways than managed apps");
     }
-    Result<ResctrlGroupId> group =
-        resctrl_->CreateGroup("copart_app_" + std::to_string(app.value()));
+    Result<ResctrlGroupId> group = actuator_.CreateGroup(
+        "copart_app_" + std::to_string(app.value()), app);
     if (!group.ok()) {
       return group.status();
-    }
-    Status assigned = resctrl_->AssignApp(*group, app);
-    if (!assigned.ok()) {
-      // Undo the half-finished admission; a failed removal leaves a zombie
-      // group that the tick loop keeps retrying.
-      Status removed = resctrl_->RemoveGroup(*group);
-      if (!removed.ok()) {
-        zombie_groups_.push_back(*group);
-      }
-      return assigned;
     }
     app_group = *group;
   } else {
     // Clustering policies share CLOSes, so admission is not bounded by the
     // way count. Park the newcomer in the default group; the next decision
     // binds it to its cluster slot.
-    Status assigned = resctrl_->AssignApp(resctrl_->DefaultGroup(), app);
+    Status assigned = actuator_.Bind(resctrl_->DefaultGroup(), app);
     if (!assigned.ok()) {
       return assigned;
     }
@@ -147,33 +138,38 @@ Status ResourceManager::AddApp(AppId app) {
 Status ResourceManager::RemoveApp(AppId app) {
   for (size_t i = 0; i < apps_.size(); ++i) {
     if (apps_[i].id == app) {
-      monitor_->Detach(app);
-      if (policy_->per_app_groups()) {
-        Status status = resctrl_->RemoveGroup(apps_[i].group);
-        if (!status.ok()) {
-          zombie_groups_.push_back(apps_[i].group);
-        }
-      } else if (resctrl_->machine().AppExists(app)) {
-        // Shared cluster group: evict the app so a departed tenant never
-        // lingers in a cluster's CLOS (best effort — a failed write leaves
-        // it in the default-bound state the next decision would set anyway).
-        (void)resctrl_->AssignApp(resctrl_->DefaultGroup(), app);
-      }
-      apps_.erase(apps_.begin() + static_cast<ptrdiff_t>(i));
-      policy_->OnAppRemoved(i);
-      last_seen_generation_ = resctrl_->machine().app_generation();
-      pending_plan_.reset();  // Plans index the old app set.
-      if (apps_.empty()) {
-        phase_ = Phase::kIdle;
-      } else if (phase_ != Phase::kDegraded) {
-        StartAdaptation();
-      } else {
-        AdoptFairShare();
-      }
+      DropApp(i);
+      AfterAppRemoval();
       return Status::Ok();
     }
   }
   return NotFoundError("app not managed");
+}
+
+void ResourceManager::DropApp(size_t index) {
+  const ManagedApp& app = apps_[index];
+  monitor_->Detach(app.id);
+  if (policy_->per_app_groups()) {
+    actuator_.RemoveGroup(app.group);
+  } else if (resctrl_->machine().AppExists(app.id)) {
+    // Evict a departing tenant from its cluster's CLOS (best effort: the
+    // next decision rebinds it anyway). A dead app already left it.
+    (void)actuator_.Bind(resctrl_->DefaultGroup(), app.id);
+  }
+  apps_.erase(apps_.begin() + static_cast<ptrdiff_t>(index));
+  policy_->OnAppRemoved(index);
+}
+
+void ResourceManager::AfterAppRemoval() {
+  last_seen_generation_ = resctrl_->machine().app_generation();
+  pending_plan_.reset();  // Plans index the old app set.
+  if (apps_.empty()) {
+    phase_ = Phase::kIdle;
+  } else if (phase_ != Phase::kDegraded) {
+    StartAdaptation();
+  } else {
+    AdoptFairShare();
+  }
 }
 
 void ResourceManager::SetResourcePool(const ResourcePool& pool) {
@@ -297,18 +293,10 @@ Status ResourceManager::SetLatencyCriticalApp(AppId app,
   if (floors + batch_reserve > base_pool_.num_ways) {
     return ResourceExhaustedError("resource pool too narrow for LC floors");
   }
-  Result<ResctrlGroupId> group =
-      resctrl_->CreateGroup("copart_lc_" + std::to_string(app.value()));
+  Result<ResctrlGroupId> group = actuator_.CreateGroup(
+      "copart_lc_" + std::to_string(app.value()), app);
   if (!group.ok()) {
     return group.status();
-  }
-  Status assigned = resctrl_->AssignApp(*group, app);
-  if (!assigned.ok()) {
-    Status removed = resctrl_->RemoveGroup(*group);
-    if (!removed.ok()) {
-      zombie_groups_.push_back(*group);
-    }
-    return assigned;
   }
   lc_apps_.push_back(LcManaged{
       app, *group, MakeSloGovernor(params_.slo.governor, params_.slo, model)});
@@ -369,17 +357,13 @@ bool ResourceManager::EvaluateSlo(bool force) {
   batch_mba = std::max(batch_mba, MbaLevel::kMin);
 
   if (resize_needed) {
-    ActuationPlan& plan = plan_;
-    plan.Clear();
+    plan_.Clear();
     for (size_t i = 0; i < lc_apps_.size(); ++i) {
-      plan.entries.push_back(ActuationPlan::Entry{
-          .group = lc_apps_[i].group,
-          .mask_bits = ContiguousBits(firsts[i], decisions[i].lc_ways),
-          .mba_percent = MbaLevel::kMax,
-          .app_index = -1,
-          .app_id = static_cast<int32_t>(lc_apps_[i].id.value())});
+      plan_.AddClos(lc_apps_[i].group,
+                    ContiguousBits(firsts[i], decisions[i].lc_ways),
+                    MbaLevel::kMax, lc_apps_[i].id);
     }
-    if (!Actuate(plan)) {
+    if (!Actuate(plan_)) {
       // The retry machinery (or degraded mode) owns the plan now; keep the
       // old bookkeeping so the governor re-plans from reality next tick.
       return false;
@@ -426,10 +410,7 @@ void ResourceManager::ReapDeadLcApps() {
   bool removed = false;
   for (size_t i = lc_apps_.size(); i-- > 0;) {
     if (!resctrl_->machine().AppExists(lc_apps_[i].id)) {
-      Status status = resctrl_->RemoveGroup(lc_apps_[i].group);
-      if (!status.ok()) {
-        zombie_groups_.push_back(lc_apps_[i].group);
-      }
+      actuator_.RemoveGroup(lc_apps_[i].group);
       lc_apps_.erase(lc_apps_.begin() + static_cast<ptrdiff_t>(i));
       removed = true;
     }
@@ -522,31 +503,6 @@ double ResourceManager::StreamMissRateReference(MbaLevel level) const {
 
 // --- Transactional actuation ---
 
-const ResourceManager::ActuationPlan& ResourceManager::PlanForState(
-    const SystemState& state) {
-  CHECK(state.Valid());
-  CHECK_EQ(state.NumApps(), apps_.size());
-  const SimulatedMachine& machine = resctrl_->machine();
-  ActuationPlan& plan = plan_;
-  plan.Clear();
-  for (size_t i = 0; i < apps_.size(); ++i) {
-    plan.entries.push_back(ActuationPlan::Entry{
-        .group = apps_[i].group,
-        .mask_bits = state.WayMaskBits(i),
-        .mba_percent = state.allocation(i).mba_level.percent(),
-        .app_index = static_cast<int32_t>(i),
-        .app_id = static_cast<int32_t>(apps_[i].id.value())});
-    // An app re-bound out of band rejoins its group in the same
-    // transaction. (A dead app is reaped next tick; nothing to bind.)
-    if (machine.AppExists(apps_[i].id) &&
-        machine.AppClos(apps_[i].id) != apps_[i].group.clos()) {
-      plan.assignments.push_back(ActuationPlan::Assignment{
-          .group = apps_[i].group, .app = apps_[i].id, .app_index = i});
-    }
-  }
-  return plan;
-}
-
 void ResourceManager::AdoptDecision(const PartitionDecision& decision) {
   state_ = decision.state;
   app_slot_ = decision.app_slot;
@@ -564,15 +520,14 @@ void ResourceManager::ReserveTickBuffers() {
     state->Reserve(n);
   }
   for (std::vector<uint32_t>* slots :
-       {&app_slot_, &decision_.app_slot, &decision_.prefetch_percent,
-        &before_clos_, &before_prefetch_}) {
+       {&app_slot_, &decision_.app_slot, &decision_.prefetch_percent}) {
     ReserveRoom(*slots, n);
   }
-  const size_t entries = std::max(n, lc_apps_.size());
-  ReserveRoom(plan_.entries, entries);
-  ReserveRoom(plan_.assignments, n);
-  ReserveRoom(plan_.prefetch, n);
-  ReserveRoom(before_entries_, entries);
+  // Two lines per CLOS entry, then at most one binding and one prefetch
+  // write per app.
+  const size_t writes = 2 * std::max(n, lc_apps_.size()) + 2 * n;
+  ReserveRoom(plan_.writes, writes);
+  actuator_.Reserve(writes);
   ReserveRoom(outcomes_, n);
   ReserveRoom(signals_, n);
   ReserveRoom(slowdowns_, n);
@@ -581,9 +536,12 @@ void ResourceManager::ReserveTickBuffers() {
 }
 
 Status ResourceManager::EnsureSlotGroups(size_t count) {
+  if (policy_->per_app_groups()) {
+    return Status::Ok();
+  }
   verified_generation_.reset();
   while (slot_groups_.size() < count) {
-    Result<ResctrlGroupId> group = resctrl_->CreateGroup(
+    Result<ResctrlGroupId> group = actuator_.CreateGroup(
         "copart_cluster_" + std::to_string(slot_groups_.size()));
     if (!group.ok()) {
       return group.status();
@@ -593,70 +551,71 @@ Status ResourceManager::EnsureSlotGroups(size_t count) {
   return Status::Ok();
 }
 
-const ResourceManager::ActuationPlan& ResourceManager::PlanForDecision(
-    const PartitionDecision& decision) {
-  ActuationPlan& plan = plan_;
-  if (policy_->per_app_groups()) {
-    PlanForState(decision.state);
-  } else {
-    CHECK(decision.state.Valid());
-    CHECK_EQ(decision.app_slot.size(), apps_.size());
-    CHECK_LE(decision.state.NumApps(), slot_groups_.size());
-    plan.Clear();
-    for (size_t k = 0; k < decision.state.NumApps(); ++k) {
-      plan.entries.push_back(ActuationPlan::Entry{
-          .group = slot_groups_[k],
-          .mask_bits = decision.state.WayMaskBits(k),
-          .mba_percent = decision.state.allocation(k).mba_level.percent(),
-          .app_index = -1,
-          .app_id = -1});
-    }
-    const SimulatedMachine& machine = resctrl_->machine();
-    for (size_t i = 0; i < apps_.size(); ++i) {
-      const ResctrlGroupId target = slot_groups_[decision.app_slot[i]];
-      if (machine.AppClos(apps_[i].id) != target.clos()) {
-        plan.assignments.push_back(ActuationPlan::Assignment{
-            .group = target, .app = apps_[i].id, .app_index = i});
-      }
+const ActuationPlan& ResourceManager::PlanForLayout(
+    const SystemState& state, const std::vector<uint32_t>& app_slot) {
+  CHECK(state.Valid());
+  CHECK_EQ(app_slot.size(), apps_.size());
+  const bool per_app = policy_->per_app_groups();
+  CHECK(per_app ? state.NumApps() == apps_.size()
+                : state.NumApps() <= slot_groups_.size());
+  const auto slot_group = [&](size_t slot) {
+    return per_app ? apps_[slot].group : slot_groups_[slot];
+  };
+  plan_.Clear();
+  for (size_t k = 0; k < state.NumApps(); ++k) {
+    plan_.AddClos(slot_group(k), state.WayMaskBits(k),
+                  state.allocation(k).mba_level.percent(),
+                  per_app ? apps_[k].id : AppId(),
+                  per_app ? static_cast<int32_t>(k) : -1);
+  }
+  // An app outside its slot's group (a newcomer, a cluster move, an
+  // out-of-band re-bind) joins it in the same transaction. A dead app is
+  // reaped next tick; nothing to bind.
+  const SimulatedMachine& machine = resctrl_->machine();
+  for (size_t i = 0; i < apps_.size(); ++i) {
+    const ResctrlGroupId group = slot_group(app_slot[i]);
+    if (machine.AppExists(apps_[i].id) &&
+        machine.AppClos(apps_[i].id) != group.clos()) {
+      plan_.AddBind(group, apps_[i].id);
     }
   }
+  return plan_;
+}
+
+const ActuationPlan& ResourceManager::PlanForDecision(
+    const PartitionDecision& decision) {
+  PlanForLayout(decision.state, decision.app_slot);
   if (!decision.prefetch_percent.empty()) {
     CHECK_EQ(decision.prefetch_percent.size(), apps_.size());
     const SimulatedMachine& machine = resctrl_->machine();
     for (size_t i = 0; i < apps_.size(); ++i) {
       if (machine.AppPrefetchPercent(apps_[i].id) !=
           decision.prefetch_percent[i]) {
-        plan.prefetch.push_back(ActuationPlan::PrefetchEntry{
-            .app = apps_[i].id,
-            .app_index = i,
-            .percent = decision.prefetch_percent[i]});
+        plan_.AddPrefetch(apps_[i].id, decision.prefetch_percent[i]);
       }
     }
   }
-  return plan;
+  return plan_;
 }
 
 bool ResourceManager::ActuateDecision(const PartitionDecision& decision) {
-  if (!policy_->per_app_groups()) {
-    Status groups = EnsureSlotGroups(decision.state.NumApps());
-    if (!groups.ok()) {
-      // Group creation failed before any schemata write: count it as an
-      // actuation failure (it gates the same degraded-mode policy) but
-      // schedule no retry plan — the next decision re-attempts creation.
-      ++actuation_attempts_;
-      ++actuation_failures_;
-      ++consecutive_actuation_failures_;
-      if (consecutive_actuation_failures_ >=
-          params_.actuation.max_consecutive_failures) {
-        EnterDegraded();
-      }
-      return false;
+  Status groups = EnsureSlotGroups(decision.state.NumApps());
+  if (!groups.ok()) {
+    // Group creation failed before any schemata write: count it as an
+    // actuation failure (it gates the same degraded-mode policy) but
+    // schedule no retry plan — the next decision re-attempts creation.
+    ++actuation_attempts_;
+    ++actuation_failures_;
+    if (++consecutive_actuation_failures_ >=
+        params_.actuation.max_consecutive_failures) {
+      EnterDegraded();
     }
+    return false;
   }
   return Actuate(PlanForDecision(decision));
 }
 
-const ResourceManager::ActuationPlan& ResourceManager::PlanForProbe() {
+const ActuationPlan& ResourceManager::PlanForProbe() {
   // The probed app gets the probe allocation; every co-runner is squeezed
   // to minimal resources (one shared way at the top of the pool, MBA floor)
   // so the probe measures the profiled app itself rather than the
@@ -681,205 +640,69 @@ const ResourceManager::ActuationPlan& ResourceManager::PlanForProbe() {
   }
   const uint64_t squeeze_bits =
       ContiguousBits(pool_.first_way + pool_.num_ways - 1, 1);
-  ActuationPlan& plan = plan_;
-  plan.Clear();
+  plan_.Clear();
   for (size_t i = 0; i < apps_.size(); ++i) {
-    if (i == profile_app_) {
-      plan.entries.push_back(ActuationPlan::Entry{
-          .group = apps_[i].group,
-          .mask_bits = mask_bits,
-          .mba_percent = mba_percent,
-          .app_index = static_cast<int32_t>(i),
-          .app_id = static_cast<int32_t>(apps_[i].id.value())});
-    } else {
-      plan.entries.push_back(ActuationPlan::Entry{
-          .group = apps_[i].group,
-          .mask_bits = squeeze_bits,
-          .mba_percent = MbaLevel::kMin,
-          .app_index = static_cast<int32_t>(i),
-          .app_id = static_cast<int32_t>(apps_[i].id.value())});
-    }
+    const bool probed = i == profile_app_;
+    plan_.AddClos(apps_[i].group, probed ? mask_bits : squeeze_bits,
+                  probed ? mba_percent : MbaLevel::kMin, apps_[i].id,
+                  static_cast<int32_t>(i));
   }
-  return plan;
+  return plan_;
 }
 
-Status ResourceManager::ApplyPlanTransactional(const ActuationPlan& plan) {
+Status ResourceManager::ApplyPlan(const ActuationPlan& plan) {
   verified_generation_.reset();
-  const SimulatedMachine& machine = resctrl_->machine();
-  // Snapshot, so a half-applied transaction can be unwound.
-  std::vector<ClosSnapshot>& before = before_entries_;
-  before.resize(plan.entries.size());
-  for (size_t i = 0; i < plan.entries.size(); ++i) {
-    const uint32_t clos = plan.entries[i].group.clos();
-    before[i] = ClosSnapshot{machine.ClosWayMask(clos).bits(),
-                             machine.ClosMbaLevel(clos).percent()};
+  ++actuation_attempts_;
+  TraceTick::Span span(trace_tick_, "apply_schemata");
+  span.set_cost(plan.entries);
+  span.set_arg1("entries", static_cast<int64_t>(plan.entries));
+  const Status status = actuator_.Apply(plan);
+  span.set_arg2("ok", status.ok() ? 1 : 0);
+  rollbacks_ += status.ok() ? 0 : 1;
+  AuditLog* audit = ObsAudit(obs_);
+  if (audit == nullptr) {
+    return status;
   }
-  std::vector<uint32_t>& before_clos = before_clos_;
-  before_clos.resize(plan.assignments.size());
-  for (size_t i = 0; i < plan.assignments.size(); ++i) {
-    before_clos[i] = machine.AppClos(plan.assignments[i].app);
-  }
-  std::vector<uint32_t>& before_prefetch = before_prefetch_;
-  before_prefetch.resize(plan.prefetch.size());
-  for (size_t i = 0; i < plan.prefetch.size(); ++i) {
-    before_prefetch[i] = machine.AppPrefetchPercent(plan.prefetch[i].app);
-  }
-
-  Status failure = Status::Ok();
-  size_t applied = 0;
-  for (; applied < plan.entries.size(); ++applied) {
-    const ActuationPlan::Entry& entry = plan.entries[applied];
-    Status status = resctrl_->SetCacheMask(entry.group, entry.mask_bits);
-    if (status.ok()) {
-      status = resctrl_->SetMbaPercent(entry.group, entry.mba_percent);
-    }
-    if (!status.ok()) {
-      failure = status;
-      break;
-    }
-  }
-  size_t assigned = 0;
-  if (failure.ok()) {
-    for (; assigned < plan.assignments.size(); ++assigned) {
-      const ActuationPlan::Assignment& assignment = plan.assignments[assigned];
-      Status status = resctrl_->AssignApp(assignment.group, assignment.app);
-      if (!status.ok()) {
-        failure = status;
-        break;
-      }
-    }
-  }
-  size_t prefetched = 0;
-  if (failure.ok()) {
-    for (; prefetched < plan.prefetch.size(); ++prefetched) {
-      const ActuationPlan::PrefetchEntry& entry = plan.prefetch[prefetched];
-      Status status = resctrl_->SetAppPrefetch(entry.app, entry.percent);
-      if (!status.ok()) {
-        failure = status;
-        break;
-      }
-    }
-  }
-
-  if (failure.ok()) {
-    // Verify by readback: a write can report success without taking effect
-    // (silent drop); only comparing the machine's actual registers against
-    // the plan catches it. A mismatch anywhere rolls back every phase.
-    for (const ActuationPlan::Entry& entry : plan.entries) {
-      const uint32_t clos = entry.group.clos();
-      if (machine.ClosWayMask(clos).bits() != entry.mask_bits ||
-          machine.ClosMbaLevel(clos).percent() != entry.mba_percent) {
-        failure = UnavailableError("verify-readback mismatch on CLOS " +
-                                   std::to_string(clos));
-        break;
-      }
-    }
-    if (failure.ok()) {
-      for (const ActuationPlan::Assignment& assignment : plan.assignments) {
-        if (machine.AppClos(assignment.app) != assignment.group.clos()) {
-          failure = UnavailableError(
-              "verify-readback mismatch on app binding, CLOS " +
-              std::to_string(assignment.group.clos()));
-          break;
-        }
-      }
-    }
-    if (failure.ok()) {
-      for (const ActuationPlan::PrefetchEntry& entry : plan.prefetch) {
-        if (machine.AppPrefetchPercent(entry.app) != entry.percent) {
-          failure = UnavailableError(
-              "verify-readback mismatch on prefetch MSR, app " +
-              std::to_string(entry.app.value()));
-          break;
-        }
-      }
-    }
-    if (!failure.ok()) {
-      applied = plan.entries.size();
-      assigned = plan.assignments.size();
-      prefetched = plan.prefetch.size();
-    }
-  }
-  if (failure.ok()) {
-    if (AuditLog* audit = ObsAudit(obs_)) {
-      // One record per CLOS whose allocation actually changed. Each entry
-      // carries its own audit identity: batch entries index apps_, LC
-      // slice entries carry app_index -1 (plans are discarded whenever
-      // the app set changes, so a valid index never goes stale).
-      for (size_t i = 0; i < plan.entries.size(); ++i) {
-        const ActuationPlan::Entry& entry = plan.entries[i];
-        if (before[i].mask_bits == entry.mask_bits &&
-            before[i].mba_percent == entry.mba_percent) {
-          continue;
-        }
-        AuditRecord record;
-        record.kind = AuditKind::kAllocation;
-        record.epoch = ticks_;
-        record.time_sec = machine.now();
-        record.phase = PhaseName(phase_);
-        record.trigger = audit_trigger_;
-        record.app_index = entry.app_index;
-        if (entry.app_id >= 0) {
-          record.app_id = entry.app_id;
-        }
-        if (entry.app_index >= 0 &&
-            static_cast<size_t>(entry.app_index) < apps_.size()) {
-          record.llc_class = ResourceClassName(
-              policy_->LlcClassOf(static_cast<size_t>(entry.app_index)));
-          record.quarantined =
-              apps_[static_cast<size_t>(entry.app_index)].quarantined;
-        }
-        record.clos = static_cast<int32_t>(entry.group.clos());
-        record.old_mask = before[i].mask_bits;
-        record.new_mask = entry.mask_bits;
-        record.old_mba = static_cast<int32_t>(before[i].mba_percent);
-        record.new_mba = static_cast<int32_t>(entry.mba_percent);
-        record.degraded = phase_ == Phase::kDegraded;
-        record.failure_streak = consecutive_actuation_failures_;
-        audit->Append(record);
-      }
-    }
-    return Status::Ok();
-  }
-
-  // Best-effort rollback of everything touched (the failing entry may have
-  // applied its L3 line but not its MB line). Rollback writes can
-  // themselves fail; the next retry re-snapshots whatever stuck, so a
-  // partial rollback only widens the window, never corrupts state.
-  ++rollbacks_;
-  const size_t touched = std::min(applied + 1, plan.entries.size());
-  for (size_t i = 0; i < touched; ++i) {
-    const ActuationPlan::Entry& entry = plan.entries[i];
-    (void)resctrl_->SetCacheMask(entry.group, before[i].mask_bits);
-    (void)resctrl_->SetMbaPercent(entry.group, before[i].mba_percent);
-  }
-  const size_t touched_assignments =
-      std::min(assigned + 1, plan.assignments.size());
-  for (size_t i = 0; i < touched_assignments; ++i) {
-    (void)resctrl_->AssignApp(ResctrlGroupId(before_clos[i]),
-                              plan.assignments[i].app);
-  }
-  const size_t touched_prefetch =
-      std::min(prefetched + 1, plan.prefetch.size());
-  for (size_t i = 0; i < touched_prefetch; ++i) {
-    (void)resctrl_->SetAppPrefetch(plan.prefetch[i].app, before_prefetch[i]);
-  }
-  if (AuditLog* audit = ObsAudit(obs_)) {
-    AuditRecord record;
+  AuditRecord record;
+  record.epoch = ticks_;
+  record.time_sec = resctrl_->machine().now();
+  record.phase = PhaseName(phase_);
+  record.trigger = audit_trigger_;
+  record.degraded = phase_ == Phase::kDegraded;
+  // The streak before this attempt: Actuate counts it after ApplyPlan.
+  record.failure_streak = consecutive_actuation_failures_;
+  if (!status.ok()) {
     record.kind = AuditKind::kActuationFailure;
-    record.epoch = ticks_;
-    record.time_sec = machine.now();
-    record.phase = PhaseName(phase_);
-    record.trigger = audit_trigger_;
     record.rollback = true;
-    record.degraded = phase_ == Phase::kDegraded;
-    // The streak *before* this failure is accounted (Actuate increments it
-    // after the transaction returns).
-    record.failure_streak = consecutive_actuation_failures_;
     record.detail = "transaction rolled back";
     audit->Append(record);
+    return status;
   }
-  return failure;
+  // One record per CLOS whose mask or MBA level changed. A batch entry's
+  // index is current: plans are dropped whenever the app set changes.
+  for (size_t i = 0; i < 2 * plan.entries; i += 2) {
+    const ActuationPlan::Write& l3 = plan.writes[i];
+    const ActuationPlan::Write& mb = plan.writes[i + 1];
+    if (actuator_.before(i) == l3.value &&
+        actuator_.before(i + 1) == mb.value) {
+      continue;
+    }
+    AuditRecord entry = record;
+    entry.app_index = l3.app_index;
+    entry.app_id = l3.app.valid() ? static_cast<int32_t>(l3.app.value()) : -1;
+    const auto index = static_cast<size_t>(l3.app_index);
+    if (l3.app_index >= 0 && index < apps_.size()) {
+      entry.llc_class = ResourceClassName(policy_->LlcClassOf(index));
+      entry.quarantined = apps_[index].quarantined;
+    }
+    entry.clos = static_cast<int32_t>(l3.clos);
+    entry.old_mask = actuator_.before(i);
+    entry.new_mask = l3.value;
+    entry.old_mba = static_cast<int32_t>(actuator_.before(i + 1));
+    entry.new_mba = static_cast<int32_t>(mb.value);
+    audit->Append(entry);
+  }
+  return status;
 }
 
 int ResourceManager::DelayTicks(double periods) const {
@@ -887,13 +710,7 @@ int ResourceManager::DelayTicks(double periods) const {
 }
 
 bool ResourceManager::Actuate(const ActuationPlan& plan) {
-  TraceTick::Span span(trace_tick_, "apply_schemata");
-  span.set_cost(plan.entries.size());
-  span.set_arg1("entries", static_cast<int64_t>(plan.entries.size()));
-  ++actuation_attempts_;
-  Status status = ApplyPlanTransactional(plan);
-  span.set_arg2("ok", status.ok() ? 1 : 0);
-  if (status.ok()) {
+  if (ApplyPlan(plan).ok()) {
     consecutive_actuation_failures_ = 0;
     backoff_.Reset();
     pending_plan_.reset();
@@ -932,17 +749,6 @@ bool ResourceManager::RetryPendingActuation() {
     }
   }
   return false;
-}
-
-void ResourceManager::RetryZombieGroups() {
-  for (size_t i = zombie_groups_.size(); i-- > 0;) {
-    Status status = resctrl_->RemoveGroup(zombie_groups_[i]);
-    if (status.ok() || status.code() != StatusCode::kUnavailable) {
-      // Removed, or permanently unremovable — either way stop retrying.
-      zombie_groups_.erase(zombie_groups_.begin() +
-                           static_cast<ptrdiff_t>(i));
-    }
-  }
 }
 
 // --- Counter health / quarantine ---
@@ -1253,7 +1059,7 @@ void ResourceManager::EnterIdle() {
   if (policy_->restore_best_state() && has_best_state_ &&
       !(best_state_ == state_)) {
     state_ = best_state_;
-    (void)Actuate(PlanForState(state_));
+    (void)Actuate(PlanForLayout(state_, app_slot_));
     // The idle IPS baselines are re-read on the first idle tick; prev_ips
     // still reflects the pre-restore state, so clear the baselines to avoid
     // a spurious drift trigger.
@@ -1286,7 +1092,9 @@ void ResourceManager::TickIdle() {
   // readback saw, nothing can have drifted and the readback is skipped.
   const uint64_t generation = resctrl_->machine().input_generation();
   if (verified_generation_ != generation) {
-    if (AllocationDrifted()) {
+    if ((!policy_->per_app_groups() &&
+         slot_groups_.size() < state_.NumApps()) ||
+        !actuator_.Holds(PlanForLayout(state_, app_slot_))) {
       audit_trigger_ = "idle_drift_repair";
       decision_.state = state_;
       decision_.app_slot = app_slot_;
@@ -1322,25 +1130,6 @@ void ResourceManager::TickIdle() {
   }
 }
 
-bool ResourceManager::AllocationDrifted() const {
-  const bool per_app = policy_->per_app_groups();
-  if (!per_app && slot_groups_.size() < state_.NumApps()) {
-    return true;
-  }
-  const SimulatedMachine& machine = resctrl_->machine();
-  for (size_t i = 0; i < apps_.size(); ++i) {
-    const uint32_t slot = app_slot_[i];
-    const uint32_t clos =
-        per_app ? apps_[i].group.clos() : slot_groups_[slot].clos();
-    if (machine.AppClos(apps_[i].id) != clos ||
-        machine.ClosWayMask(clos).bits() != state_.WayMaskBits(slot) ||
-        machine.ClosMbaLevel(clos) != state_.allocation(slot).mba_level) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void ResourceManager::EnterDegraded() {
   if (phase_ == Phase::kDegraded) {
     return;
@@ -1362,31 +1151,16 @@ void ResourceManager::TickDegraded() {
   }
   // Keep trying to pin the static fair share — the safest partition when
   // neither actuation nor feedback can be trusted.
-  const PartitionDecision& fair = decision_;
   policy_->FairShare(pool_, apps_.size(), &decision_);
   audit_trigger_ = "degraded_fair_share";
-  if (!policy_->per_app_groups()) {
-    Status groups = EnsureSlotGroups(fair.state.NumApps());
-    if (!groups.ok()) {
-      ++actuation_attempts_;
-      ++actuation_failures_;
-      degraded_success_streak_ = 0;
-      backoff_ticks_remaining_ = DelayTicks(backoff_.NextDelay());
-      return;
-    }
-  }
-  ++actuation_attempts_;
-  Status status;
-  {
-    const ActuationPlan& plan = PlanForDecision(fair);
-    TraceTick::Span span(trace_tick_, "apply_schemata");
-    span.set_cost(plan.entries.size());
-    span.set_arg1("entries", static_cast<int64_t>(plan.entries.size()));
-    status = ApplyPlanTransactional(plan);
-    span.set_arg2("ok", status.ok() ? 1 : 0);
+  Status status = EnsureSlotGroups(decision_.state.NumApps());
+  if (status.ok()) {
+    status = ApplyPlan(PlanForDecision(decision_));
+  } else {
+    ++actuation_attempts_;  // Group creation failed before any write.
   }
   if (status.ok()) {
-    AdoptDecision(fair);
+    AdoptDecision(decision_);
     ++degraded_success_streak_;
     if (degraded_success_streak_ >=
         params_.actuation.degraded_recovery_successes) {
@@ -1531,7 +1305,7 @@ void ResourceManager::Tick() {
 void ResourceManager::TickImpl() {
   ReapDeadApps();
   ReapDeadLcApps();
-  RetryZombieGroups();
+  actuator_.RetryZombies();
   // SLO governor step: re-plan the LC slices for the offered load before
   // the batch phases run, so a grown slice and the resulting batch
   // re-adaptation land in the same period. Skipped while a pending plan
@@ -1594,30 +1368,12 @@ void ResourceManager::ReapDeadApps() {
   bool removed = false;
   for (size_t i = apps_.size(); i-- > 0;) {
     if (!resctrl_->machine().AppExists(apps_[i].id)) {
-      monitor_->Detach(apps_[i].id);
-      if (policy_->per_app_groups()) {
-        Status status = resctrl_->RemoveGroup(apps_[i].group);
-        if (!status.ok()) {
-          zombie_groups_.push_back(apps_[i].group);
-        }
-      }
-      // Clustered: the shared group stays; the machine already dropped the
-      // dead app from its CLOS on termination.
-      apps_.erase(apps_.begin() + static_cast<ptrdiff_t>(i));
-      policy_->OnAppRemoved(i);
+      DropApp(i);
       removed = true;
     }
   }
   if (removed) {
-    last_seen_generation_ = resctrl_->machine().app_generation();
-    pending_plan_.reset();  // Plans index the old app set.
-    if (apps_.empty()) {
-      phase_ = Phase::kIdle;
-    } else if (phase_ != Phase::kDegraded) {
-      StartAdaptation();
-    } else {
-      AdoptFairShare();
-    }
+    AfterAppRemoval();
   }
 }
 

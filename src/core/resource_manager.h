@@ -30,17 +30,18 @@
 //      not yet profiled (a newcomer), so a departure goes straight to
 //      exploration; every other trigger invalidates every slowdown
 //      reference and re-profiles every app. An idle tick also reads back
-//      every managed app's CLOS binding, mask and MBA level and re-actuates
-//      the current decision when any of them drifted (a rolled-back write,
-//      an out-of-band schemata edit); the readback is skipped while the
-//      machine's input generation is unchanged since a clean one. A static
-//      policy's converged opening decision lands here directly, and so does
-//      a clustering policy's once its allocation holds.
+//      the current decision's plan (Actuator::Holds) and re-actuates it
+//      when anything drifted (a rolled-back write, an out-of-band schemata
+//      edit); the readback is skipped while the machine's input generation
+//      is unchanged since a clean one. A static policy's converged opening
+//      decision lands here directly, and so does a clustering policy's once
+//      its allocation holds.
 //
 // Hardening (DESIGN.md §7): the actuation path tolerates a faulty
-// substrate. Every allocation change is applied as a transaction —
-// snapshot, apply, verify by readback, roll back on any failure — and
-// retried under exponential backoff (common/backoff.h). After
+// substrate. The manager decides and its Actuator (core/actuator.h) lands
+// every allocation change as one transaction (write what differs, verify
+// by readback, write back what was issued on failure), retried under
+// exponential backoff (common/backoff.h). After
 // ActuationParams::max_consecutive_failures consecutive failed
 // transactions the manager enters a fourth phase:
 //
@@ -73,6 +74,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "core/actuator.h"
 #include "core/classifiers.h"
 #include "core/copart_params.h"
 #include "core/hr_matching.h"
@@ -253,51 +255,6 @@ class ResourceManager {
     bool quarantined = false;
   };
 
-  // One transactional actuation: the full set of schemata writes, group
-  // re-bindings, and prefetch-MSR writes that must land together for the
-  // machine to be in a coherent allocation. Per-app CoPart plans carry
-  // entries only; clustering policies add assignments, and prefetch-aware
-  // policies add prefetch writes.
-  struct ActuationPlan {
-    struct Entry {
-      ResctrlGroupId group;
-      uint64_t mask_bits = 0;
-      uint32_t mba_percent = 100;
-      // Audit identity, filled by the plan builders: index into apps_
-      // (-1 for an LC or cluster-slot entry, which has no unique batch
-      // index) and the owning app id (-1 when unknown).
-      int32_t app_index = -1;
-      int32_t app_id = -1;
-    };
-    // Bind an app's tasks to a (cluster) group.
-    struct Assignment {
-      ResctrlGroupId group;
-      AppId app;
-      size_t app_index = 0;
-    };
-    // Program an app's prefetch throttle.
-    struct PrefetchEntry {
-      AppId app;
-      size_t app_index = 0;
-      uint32_t percent = 100;
-    };
-    std::vector<Entry> entries;
-    std::vector<Assignment> assignments;
-    std::vector<PrefetchEntry> prefetch;
-
-    void Clear() {
-      entries.clear();
-      assignments.clear();
-      prefetch.clear();
-    }
-  };
-
-  // ApplyPlanTransactional's pre-write readback of one entry's CLOS.
-  struct ClosSnapshot {
-    uint64_t mask_bits = 0;
-    uint32_t mba_percent = 100;
-  };
-
   // One SLO-managed latency-critical app (params.slo mode).
   struct LcManaged {
     AppId id;
@@ -339,7 +296,8 @@ class ResourceManager {
   // reallocates them.
   void ReserveTickBuffers();
   // Lazily creates the shared cluster groups ("copart_cluster_<k>") a
-  // clustered decision actuates onto. Groups persist once created.
+  // clustered decision actuates onto. Groups persist once created. Returns
+  // at once for per-app policies.
   Status EnsureSlotGroups(size_t count);
   // Re-plans every LC slice from the current offered load and actuates
   // the changed LC masks. Returns true when the batch pool geometry
@@ -352,7 +310,13 @@ class ResourceManager {
   void ReapDeadLcApps();
   size_t LcIndex(AppId id) const;
   void ReapDeadApps();
-  void RetryZombieGroups();
+  // Drops apps_[index]: detaches its monitor, removes its group (per-app)
+  // or evicts it from its cluster, and tells the policy. Follow the last
+  // drop with one AfterAppRemoval.
+  void DropApp(size_t index);
+  // Forgets the pending plan (plans index the old app set) and restarts
+  // adaptation, or re-adopts the fair share while degraded.
+  void AfterAppRemoval();
   void TickImpl();
   void TickProfiling();
   void TickExploration();
@@ -365,36 +329,30 @@ class ResourceManager {
 
   // The plan builders write plan_ and return it.
   //
-  // Builds the schemata plan realising `state` (one entry per app), plus a
-  // re-binding for any app that sits outside its own group's CLOS.
-  const ActuationPlan& PlanForState(const SystemState& state);
-  // Builds the plan realising a policy decision: per-app delegates to
-  // PlanForState; clustered decisions get one entry per slot plus the app
-  // re-bindings, and decisions with prefetch state add the MSR writes.
+  // Builds the plan realising `state` over the slot map `app_slot`: one
+  // CLOS entry per slot (each app's own group for per-app policies, the
+  // slot groups otherwise) and a binding for each live app outside its
+  // slot's group.
+  const ActuationPlan& PlanForLayout(const SystemState& state,
+                                     const std::vector<uint32_t>& app_slot);
+  // PlanForLayout plus the decision's prefetch writes.
   const ActuationPlan& PlanForDecision(const PartitionDecision& decision);
   // Builds the profiling plan: the probed app gets the probe allocation,
   // every co-runner is squeezed to minimal resources.
   const ActuationPlan& PlanForProbe();
 
-  // Applies `plan` as a transaction: snapshot current allocations, apply
-  // every entry, verify each by readback from the machine, and roll back
-  // (best effort) on any failure. Returns the first error encountered.
-  Status ApplyPlanTransactional(const ActuationPlan& plan);
+  // Lands `plan` through the actuator as one counted attempt under an
+  // apply_schemata span, and audits each CLOS it changed (or the rollback).
+  Status ApplyPlan(const ActuationPlan& plan);
 
-  // ApplyPlanTransactional plus the retry policy: on success, clears the
-  // failure streak; on failure, schedules a retry under backoff and, after
+  // ApplyPlan plus the retry policy: on success, clears the failure
+  // streak; on failure, schedules a retry under backoff and, after
   // max_consecutive_failures in a row, enters the degraded phase. Returns
   // true when the plan is on the machine.
   bool Actuate(const ActuationPlan& plan);
 
-  // Actuate for a policy decision: ensures the cluster groups exist first
-  // (for clustered policies), then runs the transactional plan.
+  // Actuate for a policy decision, once its slot groups exist.
   bool ActuateDecision(const PartitionDecision& decision);
-
-  // Idle readback: true when any managed app's CLOS binding, mask or MBA
-  // level differs from state_/app_slot_, or a slot group is missing. Reads
-  // only; allocates nothing.
-  bool AllocationDrifted() const;
 
   // Retries pending_plan_ once its backoff expires. Returns true when the
   // control loop may run this tick (no pending plan stalls it).
@@ -426,6 +384,8 @@ class ResourceManager {
 
   Resctrl* resctrl_;      // Not owned.
   PerfMonitor* monitor_;  // Not owned.
+  // Lands every resctrl write the manager makes.
+  Actuator actuator_;
   ResourceManagerParams params_;
   // The machine's MBA cap curve, for StreamMissRateReference.
   MbaThrottleModel throttle_;
@@ -471,8 +431,6 @@ class ResourceManager {
   int backoff_ticks_remaining_ = 0;
   int consecutive_actuation_failures_ = 0;
   int degraded_success_streak_ = 0;
-  // Groups whose RemoveGroup failed transiently; retried every tick.
-  std::vector<ResctrlGroupId> zombie_groups_;
 
   uint64_t actuation_attempts_ = 0;
   uint64_t actuation_failures_ = 0;
@@ -494,7 +452,7 @@ class ResourceManager {
   // Machine input generation at the last idle readback that found no
   // drift; TickIdle skips the readback while the machine still reports it.
   // Cleared by every path that changes the intended partition or touches
-  // resctrl (AdoptDecision, EnsureSlotGroups, ApplyPlanTransactional).
+  // resctrl (AdoptDecision, EnsureSlotGroups, ApplyPlan).
   std::optional<uint64_t> verified_generation_;
   uint64_t adaptations_started_ = 0;
   double last_exploration_us_ = 0.0;
@@ -513,11 +471,6 @@ class ResourceManager {
   // concurrently. Contents are unspecified between uses.
   PartitionDecision decision_;  // What the policy writes each decision into.
   ActuationPlan plan_;          // What the plan builders write.
-  // ApplyPlanTransactional's snapshot: per entry, per assignment (the
-  // app's CLOS) and per prefetch write (the app's throttle).
-  std::vector<ClosSnapshot> before_entries_;
-  std::vector<uint32_t> before_clos_;
-  std::vector<uint32_t> before_prefetch_;
   // TickExploration's samples, signals and slowdown estimates.
   std::vector<SampleOutcome> outcomes_;
   std::vector<PolicySignals> signals_;

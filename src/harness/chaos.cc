@@ -124,6 +124,9 @@ ChaosScheduleResult RunChaosSchedule(const ChaosScheduleConfig& config) {
   int period = 0;
   auto run_period = [&]() -> bool {
     machine.AdvanceTime(config.control_period_sec);
+    if (manager.phase() == ResourceManager::Phase::kDegraded) {
+      ++result.degraded_ticks;
+    }
     manager.Tick();
     // Drop admitted apps the storm has since terminated (the manager reaps
     // them on the tick we just ran).
@@ -273,6 +276,7 @@ ChaosSuiteResult RunChaosSuite(const ChaosSuiteConfig& config,
     suite.actuation_failures += result.actuation_failures;
     suite.rollbacks += result.rollbacks;
     suite.degraded_entries += result.degraded_entries;
+    suite.degraded_ticks += result.degraded_ticks;
     suite.degraded_recoveries += result.degraded_recoveries;
     suite.quarantines += result.quarantines;
     if (collect && cell.obs != nullptr) {

@@ -62,6 +62,8 @@ struct ChaosScheduleResult {
   uint64_t actuation_failures = 0;
   uint64_t rollbacks = 0;
   uint64_t degraded_entries = 0;
+  // Control periods that began in the degraded phase.
+  uint64_t degraded_ticks = 0;
   uint64_t degraded_recoveries = 0;
   uint64_t quarantines = 0;
   bool ended_degraded = false;
@@ -87,6 +89,7 @@ struct ChaosSuiteResult {
   uint64_t actuation_failures = 0;
   uint64_t rollbacks = 0;
   uint64_t degraded_entries = 0;
+  uint64_t degraded_ticks = 0;
   uint64_t degraded_recoveries = 0;
   uint64_t quarantines = 0;
 };

@@ -1,13 +1,14 @@
 // The clustering policies' steady state: LFOC+ parks once the classes and
 // every app's allocation hold, re-explores from its current cluster count
-// after a churn or an IPS drift, and keeps exploring a mix whose fairness
-// comes from apps time-sharing a wide slot. CBP parks only once its
-// prefetch throttles settle.
+// after a churn or an IPS drift (writing only the CLOSes that move), and
+// keeps exploring a mix whose fairness comes from apps time-sharing a wide
+// slot. CBP parks only once its prefetch throttles settle.
 #include <algorithm>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +96,7 @@ class ClusteredNode {
   }
 
   SimulatedMachine& machine() { return machine_; }
+  const Resctrl& resctrl() const { return resctrl_; }
   ResourceManager& manager() { return manager_; }
   const std::vector<AppId>& managed() const { return managed_; }
 
@@ -146,6 +148,46 @@ TEST(LfocSteadyStateTest, ChurnReexploresFromTheCurrentClusterCount) {
 
   const int reparked_after = node.TicksUntilIdle(7);
   EXPECT_GT(reparked_after, 0) << "not idle again within 8 periods";
+}
+
+TEST(LfocSteadyStateTest, ChurnWritesOnlyTheClosesThatMoved) {
+  const PolicyAbScenario scenario = ManyAppsScenario(48);
+  ClusteredNode node(scenario, "lfoc+");
+  ASSERT_GT(node.TicksUntilIdle(60), 0);
+  node.Evict(5);
+  node.Admit(scenario.mix.apps[5]);
+  ASSERT_EQ(node.manager().phase(), Phase::kExploration);
+
+  // Every CLOS's (mask, MBA level), as the machine holds them.
+  const SimulatedMachine& machine = node.machine();
+  const auto registers = [&] {
+    std::vector<std::pair<uint64_t, uint32_t>> lines;
+    for (uint32_t clos = 0; clos < machine.config().num_clos; ++clos) {
+      lines.emplace_back(machine.ClosWayMask(clos).bits(),
+                         machine.ClosMbaLevel(clos).percent());
+    }
+    return lines;
+  };
+  // Each exploration tick writes a schemata line only where a CLOS moves:
+  // no write at all when no mask or MBA level changed, and at most its two
+  // lines per CLOS that did.
+  int explored = 0;
+  for (; explored < 20 && node.manager().phase() == Phase::kExploration;
+       ++explored) {
+    const auto before = registers();
+    const uint64_t writes = node.resctrl().schemata_writes();
+    node.Tick();
+    const auto after = registers();
+    uint64_t changed = 0;
+    for (size_t clos = 0; clos < before.size(); ++clos) {
+      changed += before[clos] != after[clos] ? 1 : 0;
+    }
+    EXPECT_LE(node.resctrl().schemata_writes() - writes, 2 * changed)
+        << "exploration tick " << explored << " changed " << changed
+        << " CLOSes";
+  }
+  EXPECT_GT(explored, 0);
+  EXPECT_EQ(node.manager().phase(), Phase::kIdle);
 }
 
 TEST(LfocSteadyStateTest, TimeSharedWideSlotKeepsExploring) {

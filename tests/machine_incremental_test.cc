@@ -16,11 +16,13 @@
 // (machine_reference.h) — the twin-machine test at the bottom locks that in
 // over a randomized mutation schedule including a phased workload, noise and
 // required-IPS flips.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -188,18 +190,44 @@ TEST(MachineIncrementalTest, ForcedDirtyAlwaysResolves) {
   EXPECT_EQ(machine.full_solves(), 21u);
 }
 
+// The apps one twin schedule runs, each in its own CLOS.
+struct TwinAppSet {
+  std::vector<WorkloadDescriptor> workloads;
+  uint32_t cores_per_app;
+  // Lower bound on the schedule's peak memory-controller utilisation
+  // (solved grants over total bandwidth).
+  double min_peak_utilisation;
+};
+
+// A light set (peak utilisation 0.16) and a bandwidth-heavy one (0.49):
+// only near saturation does the contention term carry a last-bit change
+// in the bandwidth tier (the solve's total grant, say) into the outputs; a
+// light load absorbs it.
+TwinAppSet TwinApps(bool heavy) {
+  if (!heavy) {
+    return {{Sp(), Raytrace(), PhasedScanCompute(/*period_sec=*/1.0)}, 2, 0.0};
+  }
+  return {{OceanCp(), Cg(), Ft(), PhasedScanCompute(/*period_sec=*/1.0)},
+          4,
+          0.4};
+}
+
 // Twin-machine bit-identity: an incremental machine and one that solves
 // every epoch run the same randomized schedule (mask/MBA/required-IPS churn,
 // a phased workload crossing boundaries, multiplicative noise) and must
 // agree bitwise on every output of every epoch; after every epoch each
 // machine's solve must also equal the reference, whichever tier (full,
 // partial or replay) produced it.
-class MachineIncrementalTwinTest : public ::testing::TestWithParam<MrcMode> {};
+class MachineIncrementalTwinTest
+    : public ::testing::TestWithParam<std::tuple<MrcMode, bool>> {};
 
 TEST_P(MachineIncrementalTwinTest, TwinsMatchEachOtherAndTheReference) {
   MachineConfig base;
-  base.mrc_mode = GetParam();
+  base.mrc_mode = std::get<0>(GetParam());
   base.ips_noise_sigma = 0.01;
+  const TwinAppSet set = TwinApps(std::get<1>(GetParam()));
+  const std::vector<WorkloadDescriptor>& workloads = set.workloads;
+  const int64_t num_clos = static_cast<int64_t>(workloads.size());
 
   struct Variant {
     const char* name;
@@ -217,11 +245,10 @@ TEST_P(MachineIncrementalTwinTest, TwinsMatchEachOtherAndTheReference) {
     config.incremental_epochs = variant.incremental;
     machines.emplace_back(config);
   }
-  const std::vector<WorkloadDescriptor> workloads = {
-      Sp(), Raytrace(), PhasedScanCompute(/*period_sec=*/1.0)};
   for (size_t m = 0; m < machines.size(); ++m) {
     for (size_t i = 0; i < workloads.size(); ++i) {
-      Result<AppId> app = machines[m].LaunchApp(workloads[i], 2);
+      Result<AppId> app =
+          machines[m].LaunchApp(workloads[i], set.cores_per_app);
       ASSERT_TRUE(app.ok());
       apps[m].push_back(*app);
       machines[m].AssignAppToClos(*app, static_cast<uint32_t>(i + 1));
@@ -231,9 +258,10 @@ TEST_P(MachineIncrementalTwinTest, TwinsMatchEachOtherAndTheReference) {
   Rng rng(0xBEEFCAFEULL);
   const uint32_t num_ways = base.llc.num_ways;
   bool cap_on = false;
+  double peak_utilisation = 0.0;
   for (int epoch = 0; epoch < 400; ++epoch) {
     if (rng.NextBool(0.05)) {
-      const uint32_t clos = static_cast<uint32_t>(rng.NextInt(1, 3));
+      const uint32_t clos = static_cast<uint32_t>(rng.NextInt(1, num_clos));
       const uint32_t width = static_cast<uint32_t>(rng.NextInt(2, 5));
       const uint32_t start = static_cast<uint32_t>(
           rng.NextInt(0, static_cast<int64_t>(num_ways - width)));
@@ -242,7 +270,7 @@ TEST_P(MachineIncrementalTwinTest, TwinsMatchEachOtherAndTheReference) {
       }
     }
     if (rng.NextBool(0.1)) {
-      const uint32_t clos = static_cast<uint32_t>(rng.NextInt(1, 3));
+      const uint32_t clos = static_cast<uint32_t>(rng.NextInt(1, num_clos));
       const MbaLevel level = MbaLevel::FromPercentChecked(
           10u * static_cast<uint32_t>(rng.NextInt(1, 10)));
       for (SimulatedMachine& machine : machines) {
@@ -264,6 +292,12 @@ TEST_P(MachineIncrementalTwinTest, TwinsMatchEachOtherAndTheReference) {
           << "epoch " << epoch << ": " << variants[m].name
           << " diverged from the reference";
     }
+    double granted = 0.0;
+    for (AppId app : apps[0]) {
+      granted += machines[0].LastEpoch(app).bandwidth_grant_bytes_per_sec;
+    }
+    peak_utilisation =
+        std::max(peak_utilisation, granted / base.total_memory_bandwidth);
     for (size_t m = 1; m < machines.size(); ++m) {
       for (size_t i = 0; i < workloads.size(); ++i) {
         const AppEpochSnapshot& ref = machines[0].LastEpoch(apps[0][i]);
@@ -291,14 +325,21 @@ TEST_P(MachineIncrementalTwinTest, TwinsMatchEachOtherAndTheReference) {
       << "expected some clean replay epochs";
   // The full-solve twin solves every epoch.
   EXPECT_EQ(machines[1].full_solves(), 400u);
+  EXPECT_GE(peak_utilisation, set.min_peak_utilisation);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, MachineIncrementalTwinTest,
-                         ::testing::Values(MrcMode::kExact, MrcMode::kCompiled),
-                         [](const ::testing::TestParamInfo<MrcMode>& info) {
-                           return info.param == MrcMode::kExact ? "exact"
-                                                                : "compiled";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllModes, MachineIncrementalTwinTest,
+    ::testing::Combine(::testing::Values(MrcMode::kExact, MrcMode::kCompiled),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<MrcMode, bool>>& info) {
+      std::string name =
+          std::get<0>(info.param) == MrcMode::kExact ? "exact" : "compiled";
+      if (std::get<1>(info.param)) {
+        name += "_heavy";
+      }
+      return name;
+    });
 
 }  // namespace
 

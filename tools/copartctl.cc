@@ -393,8 +393,10 @@ int CmdChaos(int num_schedules, uint64_t base_seed,
       static_cast<unsigned long long>(suite.actuation_failures),
       static_cast<unsigned long long>(suite.rollbacks));
   std::printf(
-      "degraded entries: %llu  recoveries: %llu  quarantines: %llu\n",
+      "degraded entries: %llu  degraded ticks: %llu  recoveries: %llu  "
+      "quarantines: %llu\n",
       static_cast<unsigned long long>(suite.degraded_entries),
+      static_cast<unsigned long long>(suite.degraded_ticks),
       static_cast<unsigned long long>(suite.degraded_recoveries),
       static_cast<unsigned long long>(suite.quarantines));
   for (const ChaosScheduleResult& failure : suite.failures) {
@@ -421,11 +423,13 @@ int CmdChaosReplay(uint64_t seed) {
   }
   std::printf(
       "injected failures: %llu  actuation failures: %llu  rollbacks: %llu\n"
-      "degraded entries: %llu  recoveries: %llu  quarantines: %llu\n",
+      "degraded entries: %llu  degraded ticks: %llu  recoveries: %llu  "
+      "quarantines: %llu\n",
       static_cast<unsigned long long>(result.injected_failures),
       static_cast<unsigned long long>(result.actuation_failures),
       static_cast<unsigned long long>(result.rollbacks),
       static_cast<unsigned long long>(result.degraded_entries),
+      static_cast<unsigned long long>(result.degraded_ticks),
       static_cast<unsigned long long>(result.degraded_recoveries),
       static_cast<unsigned long long>(result.quarantines));
   return result.passed ? 0 : 1;
