@@ -102,6 +102,10 @@ Result<ResctrlGroupId> Actuator::CreateGroup(const std::string& name,
 }
 
 Status Actuator::Bind(ResctrlGroupId group, AppId app) {
+  const SimulatedMachine& machine = resctrl_->machine();
+  if (machine.AppExists(app) && machine.AppClos(app) == group.clos()) {
+    return Status::Ok();  // Already there, as Apply skips a held register.
+  }
   return resctrl_->AssignApp(group, app);
 }
 

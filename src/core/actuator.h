@@ -85,7 +85,8 @@ class Actuator {
   // bind removes the group again and returns the bind's failure.
   Result<ResctrlGroupId> CreateGroup(const std::string& name,
                                      std::optional<AppId> app = std::nullopt);
-  // Binds an app's tasks to `group` outside any plan.
+  // Binds an app's tasks to `group` outside any plan; issues nothing when
+  // the app already runs in it.
   Status Bind(ResctrlGroupId group, AppId app);
   void RemoveGroup(ResctrlGroupId group);
   void RetryZombies();

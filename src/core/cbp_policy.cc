@@ -34,7 +34,7 @@ void CbpPolicy::Allocate(const SystemState& current,
     }
     flipped = flipped || throttled_[i] != was_throttled;
     decision->prefetch_percent[i] =
-        throttled_[i] ? params_.cbp.throttled_prefetch_percent : 100u;
+        throttled_[i] ? kThrottledPrefetchPercent : 100u;
   }
   if (flipped) {
     // A parked decision is never actuated, so a throttle that flips here

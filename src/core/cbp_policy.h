@@ -6,7 +6,7 @@
 // adds the prefetch throttle as a third actuator next to CAT and MBA:
 // apps classified streaming whose memory-traffic ratio exceeds the
 // classifier's Gamma threshold get their prefetcher throttled to
-// CbpParams::throttled_prefetch_percent — trading a longer per-miss stall
+// kThrottledPrefetchPercent — trading a longer per-miss stall
 // for less speculative traffic — and are released only once their traffic
 // ratio falls below CbpParams::release_traffic_ratio (hysteresis, so a
 // ratio hovering at the threshold cannot flap the MSR every period).
@@ -23,6 +23,9 @@ namespace copart {
 
 class CbpPolicy : public LfocPolicy {
  public:
+  // Prefetcher setting of a throttled streaming app.
+  static constexpr uint32_t kThrottledPrefetchPercent = 40;
+
   explicit CbpPolicy(const ResourceManagerParams& params);
 
   std::string name() const override { return "cbp"; }

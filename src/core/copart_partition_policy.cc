@@ -46,7 +46,7 @@ void CoPartPartitionPolicy::ObserveProbe(size_t app, ProbeKind kind,
       break;
     case ProbeKind::kFewWays: {
       const double degradation = 1.0 - signal.ips / signal.ips_full;
-      if (degradation > params_.profile_degradation_threshold) {
+      if (degradation > kProfileDegradationThreshold) {
         state.llc_initial = ResourceClass::kDemand;
       } else if (signal.llc_access_rate <
                      params_.classifier.llc_access_rate_floor ||
@@ -62,7 +62,7 @@ void CoPartPartitionPolicy::ObserveProbe(size_t app, ProbeKind kind,
       const double degradation = 1.0 - signal.ips / signal.ips_full;
       const double traffic_ratio =
           signal.llc_misses_per_sec / signal.stream_miss_rate_ref;
-      if (degradation > params_.profile_degradation_threshold) {
+      if (degradation > kProfileDegradationThreshold) {
         state.mba_initial = ResourceClass::kDemand;
       } else if (traffic_ratio < params_.classifier.traffic_ratio_low) {
         state.mba_initial = ResourceClass::kSupply;
@@ -105,9 +105,11 @@ void CoPartPartitionPolicy::FairShare(const ResourcePool& pool,
   // producer/consumer formulation. When MBA moves are disabled (the
   // CAT-only baseline's "equal memory bandwidth partitioning"), the levels
   // are frozen at the equal static share instead.
-  decision->state = mba_moves()
-                        ? SystemState::EqualShare(pool, num_apps)
-                        : SystemState::EqualShareThrottled(pool, num_apps);
+  if (mba_moves()) {
+    decision->state.AssignEqualShare(pool, num_apps);
+  } else {
+    decision->state.AssignEqualShareThrottled(pool, num_apps);
+  }
   MakePerAppDecision(decision);
 }
 

@@ -63,6 +63,10 @@ class CoPartPartitionPolicy : public PartitionPolicy {
     MbaClassifierFsm mba_fsm;
   };
 
+  // Profiling (§5.4.1): a probe degrading the app's IPS by more than
+  // this sets its initial FSM state to Demand.
+  static constexpr double kProfileDegradationThreshold = 0.10;
+
   bool llc_moves() const { return mode_ != Mode::kMbaOnly; }
   bool mba_moves() const { return mode_ != Mode::kCatOnly; }
 

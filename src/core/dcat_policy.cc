@@ -24,7 +24,7 @@ void DcatPolicy::FairShare(const ResourcePool& pool, size_t num_apps,
                            PartitionDecision* decision) const {
   // Equal LLC start; MBA frozen at the equal static share (dCat does not
   // manage bandwidth).
-  decision->state = SystemState::EqualShareThrottled(pool, num_apps);
+  decision->state.AssignEqualShareThrottled(pool, num_apps);
   MakePerAppDecision(decision);
 }
 

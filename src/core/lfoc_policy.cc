@@ -8,6 +8,8 @@
 
 namespace copart {
 
+static_assert(LfocPolicy::kLightWays >= 1 && LfocPolicy::kStreamingWays >= 1);
+
 LfocPolicy::LfocPolicy(const ResourceManagerParams& params, bool plus)
     : params_(params), plus_(plus) {}
 
@@ -112,8 +114,7 @@ void LfocPolicy::Allocate(const SystemState& current,
   }
   last_classes_ = classes_;
   stable_decisions_ = unchanged ? stable_decisions_ + 1 : 0;
-  decision->converged =
-      stable_decisions_ > params_.lfoc.resize_cooldown_periods;
+  decision->converged = stable_decisions_ > kResizeCooldownPeriods;
 }
 
 void LfocPolicy::Cluster(const ResourcePool& pool,
@@ -156,23 +157,20 @@ void LfocPolicy::Cluster(const ResourcePool& pool,
                             : hi > 0.0
                                 ? std::numeric_limits<double>::infinity()
                                 : 0.0;
-      if (spread > params_.lfoc.split_spread) {
+      if (spread > kSplitSpread) {
         ++num_sensitive_clusters_;
-        resize_cooldown_remaining_ = params_.lfoc.resize_cooldown_periods;
-      } else if (spread < params_.lfoc.merge_spread &&
-                 num_sensitive_clusters_ > 1) {
+        resize_cooldown_remaining_ = kResizeCooldownPeriods;
+      } else if (spread < kMergeSpread && num_sensitive_clusters_ > 1) {
         --num_sensitive_clusters_;
-        resize_cooldown_remaining_ = params_.lfoc.resize_cooldown_periods;
+        resize_cooldown_remaining_ = kResizeCooldownPeriods;
       }
     }
   }
 
   // Way budget. Pools too narrow for the class slots collapse to the single
   // shared slot — safe, and only reachable on tiny configurations.
-  uint32_t light_ways =
-      lights_.empty() ? 0 : std::max(params_.lfoc.light_ways, 1u);
-  uint32_t stream_ways =
-      streams_.empty() ? 0 : std::max(params_.lfoc.streaming_ways, 1u);
+  uint32_t light_ways = lights_.empty() ? 0 : kLightWays;
+  uint32_t stream_ways = streams_.empty() ? 0 : kStreamingWays;
   const uint32_t sens_reserve = sens_.empty() ? 0 : 1;
   const uint32_t side_slots =
       (lights_.empty() ? 0u : 1u) + (streams_.empty() ? 0u : 1u);
@@ -268,8 +266,7 @@ void LfocPolicy::Cluster(const ResourcePool& pool,
   const MbaLevel pool_mba = MbaLevel::FromPercentChecked(pool.max_mba_percent);
   const uint32_t stream_mba_percent = std::max(
       MbaLevel::kMin,
-      std::min(params_.lfoc.streaming_mba_percent / MbaLevel::kStep *
-                   MbaLevel::kStep,
+      std::min(kStreamingMbaPercent / MbaLevel::kStep * MbaLevel::kStep,
                pool.max_mba_percent));
   const uint32_t light_slot = k;
   const uint32_t stream_slot = k + (lights_.empty() ? 0u : 1u);

@@ -13,15 +13,15 @@
 //
 // The LFOC+ refinement ("lfoc+") resizes the sensitive-cluster count
 // online: when the max/min miss-pressure spread inside the sensitive class
-// exceeds LfocParams::split_spread, another cluster is opened so the
-// most-starved apps get isolated capacity; when the spread collapses below
-// merge_spread, clusters merge back to free CLOSes. Plain "lfoc" keeps a
-// single sensitive cluster. The count survives StartExploration, so a
+// exceeds kSplitSpread, another cluster is opened so the most-starved apps
+// get isolated capacity; when the spread collapses below kMergeSpread,
+// clusters merge back to free CLOSes. Plain "lfoc" keeps a single
+// sensitive cluster. The count survives StartExploration, so a
 // churn or drift re-explores from the current clustering.
 //
 // Steady state: Allocate converges once the classes and every app's
 // allocation (its slot's ways and MBA level, not the slot index) have
-// repeated for resize_cooldown_periods + 1 decisions, and the driver parks
+// repeated for kResizeCooldownPeriods + 1 decisions, and the driver parks
 // in idle until a consolidation change or IPS drift.
 //
 // No profiling probes and no RNG: the clustering signal is each app's
@@ -44,6 +44,21 @@ namespace copart {
 
 class LfocPolicy : public PartitionPolicy {
  public:
+  // Ways pinned to the light cluster (apps that cannot use cache anyway)
+  // and to the streaming cluster (apps that thrash it), when non-empty.
+  static constexpr uint32_t kLightWays = 1;
+  static constexpr uint32_t kStreamingWays = 1;
+  // MBA ceiling for the streaming cluster: bandwidth hogs are throttled so
+  // the sensitive clusters' misses see an uncongested controller.
+  static constexpr uint32_t kStreamingMbaPercent = 40;
+  // LFOC+ cluster resizing: a max/min miss-pressure spread inside the
+  // sensitive class above kSplitSpread opens one more sensitive cluster;
+  // one below kMergeSpread merges two back. kResizeCooldownPeriods
+  // decisions must pass between resizes.
+  static constexpr double kSplitSpread = 0.15;
+  static constexpr double kMergeSpread = 0.05;
+  static constexpr int kResizeCooldownPeriods = 4;
+
   LfocPolicy(const ResourceManagerParams& params, bool plus);
 
   std::string name() const override { return plus_ ? "lfoc+" : "lfoc"; }
@@ -84,7 +99,7 @@ class LfocPolicy : public PartitionPolicy {
   int resize_cooldown_remaining_ = 0;
   // Steady state: the previous decision's classes and per-app allocations,
   // and how many decisions in a row repeated them (Allocate converges past
-  // LfocParams::resize_cooldown_periods).
+  // kResizeCooldownPeriods).
   std::vector<AppClass> last_classes_;
   std::vector<AppAllocation> last_allocations_;
   int stable_decisions_ = 0;

@@ -38,11 +38,7 @@ ResourceManager::ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
       params_(params),
       throttle_(resctrl->machine().config().mba_cap_exponent),
       rng_(params.seed),
-      backoff_(BackoffOptions{.initial = params.actuation.backoff_initial_periods,
-                              .multiplier = params.actuation.backoff_multiplier,
-                              .max = params.actuation.backoff_max_periods,
-                              .jitter = params.actuation.backoff_jitter},
-               rng_.Fork(kBackoffStream)) {
+      backoff_(kRetryBackoff, rng_.Fork(kBackoffStream)) {
   CHECK_NE(resctrl, nullptr);
   CHECK_NE(monitor, nullptr);
   CHECK(policy != nullptr);
@@ -66,18 +62,6 @@ const char* ResourceManager::PhaseName(Phase phase) {
       return "idle";
     case Phase::kDegraded:
       return "degraded";
-  }
-  return "?";
-}
-
-const char* ResourceManager::TrendStateName(TrendState state) {
-  switch (state) {
-    case TrendState::kOff:
-      return "off";
-    case TrendState::kOn:
-      return "on";
-    case TrendState::kBackoff:
-      return "backoff";
   }
   return "?";
 }
@@ -458,43 +442,6 @@ ResourceClass ResourceManager::MbaClass(AppId app) const {
   return policy_->MbaClassOf(AppIndex(app));
 }
 
-// --- Unfairness-trend governor ---
-
-void ResourceManager::ResetTrend() {
-  trend_state_ = TrendState::kOff;
-  trend_warmup_remaining_ = params_.trend.warmup_periods;
-  trend_increase_streak_ = 0;
-  trend_backoff_remaining_ = 0;
-  trend_prev_unfairness_ = 0.0;
-}
-
-bool ResourceManager::ObserveUnfairnessTrend(double unfairness) {
-  if (!params_.trend.enabled) {
-    return false;
-  }
-  switch (trend_state_) {
-    case TrendState::kOff:
-      if (--trend_warmup_remaining_ <= 0) {
-        trend_state_ = TrendState::kOn;
-        trend_prev_unfairness_ = unfairness;
-        trend_increase_streak_ = 0;
-      }
-      return false;
-    case TrendState::kOn: {
-      const bool increased =
-          unfairness >
-          trend_prev_unfairness_ * params_.trend.increase_factor;
-      trend_increase_streak_ = increased ? trend_increase_streak_ + 1 : 0;
-      trend_prev_unfairness_ = unfairness;
-      return trend_increase_streak_ >= params_.trend.max_increasing_intervals;
-    }
-    case TrendState::kBackoff:
-      // Exploration never runs while parked; nothing to observe.
-      return false;
-  }
-  return false;
-}
-
 double ResourceManager::StreamMissRateReference(MbaLevel level) const {
   const MachineConfig& config = resctrl_->machine().config();
   return throttle_.CapFraction(level) * config.total_memory_bandwidth /
@@ -606,8 +553,7 @@ bool ResourceManager::ActuateDecision(const PartitionDecision& decision) {
     // schedule no retry plan — the next decision re-attempts creation.
     ++actuation_attempts_;
     ++actuation_failures_;
-    if (++consecutive_actuation_failures_ >=
-        params_.actuation.max_consecutive_failures) {
+    if (++consecutive_actuation_failures_ >= kMaxConsecutiveFailures) {
       EnterDegraded();
     }
     return false;
@@ -631,11 +577,11 @@ const ActuationPlan& ResourceManager::PlanForProbe() {
     case Probe::kFull:
       break;  // All pool ways at the pool's MBA ceiling.
     case Probe::kFewWays:
-      mask_bits = ContiguousBits(
-          pool_.first_way, std::min(params_.profile_ways, pool_.num_ways));
+      mask_bits = ContiguousBits(pool_.first_way,
+                                 std::min(kProfileWays, pool_.num_ways));
       break;
     case Probe::kLowMba:
-      mba_percent = params_.profile_mba_percent;
+      mba_percent = kProfileMbaPercent;
       break;
   }
   const uint64_t squeeze_bits =
@@ -719,8 +665,7 @@ bool ResourceManager::Actuate(const ActuationPlan& plan) {
   }
   ++actuation_failures_;
   ++consecutive_actuation_failures_;
-  if (consecutive_actuation_failures_ >=
-      params_.actuation.max_consecutive_failures) {
+  if (consecutive_actuation_failures_ >= kMaxConsecutiveFailures) {
     EnterDegraded();
     return false;
   }
@@ -762,22 +707,21 @@ ResourceManager::SampleOutcome ResourceManager::SampleApp(ManagedApp& app) {
     // a stale counter, and an absurd one is saturation or wraparound.
     outcome.healthy = outcome.sample.interval_sec > 0.0 &&
                       outcome.sample.instructions > 0.0 &&
-                      outcome.sample.instructions <
-                          params_.actuation.saturation_instructions;
+                      outcome.sample.instructions < kSaturationInstructions;
   }
   if (outcome.healthy) {
     app.bad_sample_streak = 0;
     ++app.good_sample_streak;
-    if (app.quarantined && app.good_sample_streak >=
-                               params_.actuation.quarantine_release_good_samples) {
+    if (app.quarantined &&
+        app.good_sample_streak >= kQuarantineReleaseGoodSamples) {
       app.quarantined = false;
       EmitQuarantineAudit(app, /*engaged=*/false);
     }
   } else {
     app.good_sample_streak = 0;
     ++app.bad_sample_streak;
-    if (!app.quarantined && app.bad_sample_streak >=
-                                params_.actuation.quarantine_after_bad_samples) {
+    if (!app.quarantined &&
+        app.bad_sample_streak >= kQuarantineAfterBadSamples) {
       app.quarantined = true;
       ++quarantines_;
       EmitQuarantineAudit(app, /*engaged=*/true);
@@ -794,7 +738,6 @@ void ResourceManager::StartAdaptation() {
     CHECK_GE(pool_.num_ways, apps_.size()) << "more apps than pool ways";
   }
   ++adaptations_started_;
-  ResetTrend();
   pending_plan_.reset();
   backoff_ticks_remaining_ = 0;
   profile_app_ = NextUnprofiled(0);
@@ -860,7 +803,7 @@ void ResourceManager::TickProfiling() {
         app.ips_full = std::max(ips, 1.0);
       }
       const MbaLevel probe_level =
-          MbaLevel::FromPercentChecked(params_.profile_mba_percent);
+          MbaLevel::FromPercentChecked(kProfileMbaPercent);
       const ProbeSignal signal{
           .ips = ips,
           .ips_full = app.ips_full,
@@ -1010,18 +953,6 @@ void ResourceManager::TickExploration() {
       best_unfairness_ = unfairness;
       best_state_ = state_;
     }
-    if (ObserveUnfairnessTrend(unfairness)) {
-      // Partitioning is making things worse, not better: every further
-      // move is thrash. Park on the best state seen and hold it for the
-      // backoff window before re-probing.
-      trend_state_ = TrendState::kBackoff;
-      trend_backoff_remaining_ = params_.trend.backoff_periods;
-      ++trend_backoffs_;
-      audit_trigger_ = "trend_backoff";
-      EmitPhaseAudit("backoff_engage");
-      EnterIdle();
-      return;
-    }
   }
 
   // Phase 3: ask the policy for the next decision (for CoPart: the HR
@@ -1162,8 +1093,7 @@ void ResourceManager::TickDegraded() {
   if (status.ok()) {
     AdoptDecision(decision_);
     ++degraded_success_streak_;
-    if (degraded_success_streak_ >=
-        params_.actuation.degraded_recovery_successes) {
+    if (degraded_success_streak_ >= kDegradedRecoverySuccesses) {
       ++degraded_recoveries_;
       backoff_.Reset();
       StartFullAdaptation();
@@ -1250,14 +1180,6 @@ void ResourceManager::ExportMetrics(MetricsRegistry* metrics) const {
       ->Set(exploration_time_stats_.mean());
   metrics->GetCounter("copart.manager.exploration_solves")
       ->Increment(exploration_time_stats_.count());
-  if (params_.trend.enabled) {
-    metrics->GetCounter("copart.manager.trend_backoffs")
-        ->Increment(trend_backoffs_);
-    metrics->GetCounter("copart.manager.trend_reprobes")
-        ->Increment(trend_reprobes_);
-    metrics->GetGauge("copart.manager.trend_state")
-        ->Set(static_cast<double>(trend_state_));
-  }
   if (monitor_->sensing_params().enabled) {
     metrics->GetCounter("copart.pmc.sensed_samples")
         ->Increment(monitor_->sensed_samples());
@@ -1321,25 +1243,6 @@ void ResourceManager::TickImpl() {
   }
   if (phase_ == Phase::kDegraded) {
     TickDegraded();
-    return;
-  }
-  if (trend_state_ == TrendState::kBackoff) {
-    // Parked on the best state: keep retrying any pending plan (the
-    // best-state restore must land) but run no adaptation triggers, and
-    // count the window down unconditionally so the re-probe bound is
-    // exact. A retry that tips the manager into the degraded phase pauses
-    // the countdown — degraded recovery restarts adaptation (and re-arms
-    // the trend governor) itself.
-    (void)RetryPendingActuation();
-    if (phase_ == Phase::kDegraded) {
-      return;
-    }
-    if (--trend_backoff_remaining_ <= 0) {
-      ++trend_reprobes_;
-      audit_trigger_ = "trend_backoff";
-      EmitPhaseAudit("backoff_reprobe");
-      StartFullAdaptation();
-    }
     return;
   }
   if (!RetryPendingActuation()) {

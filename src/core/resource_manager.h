@@ -3,10 +3,10 @@
 // The manager is the *driver* half of a driver/policy split
 // (core/partition_policy.h): it owns sampling and counter quarantine,
 // probe scheduling, transactional actuation with retry/backoff/degraded
-// mode, SLO slices, the trend governor, and all telemetry — while the
-// installed PartitionPolicy (ResourceManagerParams::partition_policy, or an
-// instance handed to the constructor) owns classification and the
-// allocation decisions. With the default "copart" policy the loop below is
+// mode, SLO slices, and all telemetry — while the installed
+// PartitionPolicy (ResourceManagerParams::partition_policy, or an instance
+// handed to the constructor) owns classification and the allocation
+// decisions. With the default "copart" policy the loop below is
 // exactly the paper's controller; every baseline runs through the same
 // loop.
 //
@@ -41,20 +41,19 @@
 // substrate. The manager decides and its Actuator (core/actuator.h) lands
 // every allocation change as one transaction (write what differs, verify
 // by readback, write back what was issued on failure), retried under
-// exponential backoff (common/backoff.h). After
-// ActuationParams::max_consecutive_failures consecutive failed
-// transactions the manager enters a fourth phase:
+// exponential backoff (common/backoff.h). After kMaxConsecutiveFailures
+// consecutive failed transactions the manager enters a fourth phase:
 //
 //   4. *Degraded*: adaptation stops and the manager keeps trying to pin the
 //      static equal-share partition (the best fairness guarantee available
 //      without working actuation or trustworthy feedback). Once
-//      degraded_recovery_successes consecutive applies succeed, the
+//      kDegradedRecoverySuccesses consecutive applies succeed, the
 //      substrate is declared healthy and adaptation restarts from
 //      profiling.
 //
 // Counter feedback is treated as equally untrustworthy: samples are taken
 // through PerfMonitor::TrySample, and an app whose samples are dropped,
-// stale, or saturated for quarantine_after_bad_samples consecutive periods
+// stale, or saturated for kQuarantineAfterBadSamples consecutive periods
 // is quarantined — it participates in matching as a conservative
 // (slowdown 1.0, Maintain/Maintain) citizen until its counters come back.
 //
@@ -93,15 +92,34 @@ namespace copart {
 // without dragging in the manager; ResourceManager::Phase aliases it.
 enum class ManagerPhase { kProfiling, kExploration, kIdle, kDegraded };
 
-// State of the unfairness-trend governor (ResourceManagerParams::trend):
-// kOff until the post-profiling warmup has passed, kOn while watching the
-// unfairness trend, kBackoff while parked on the best state waiting to
-// re-probe.
-enum class TrendState { kOff, kOn, kBackoff };
-
 class ResourceManager {
  public:
   using Phase = ManagerPhase;
+
+  // --- Tuning constants (DESIGN.md §7) ---
+  //
+  // Profiling probes (§5.4.1): l_P ways at 100% MBA, and all ways at M_P.
+  static constexpr uint32_t kProfileWays = 2;
+  static constexpr uint32_t kProfileMbaPercent = 20;
+  // R: consecutive failed actuation transactions before the manager gives
+  // up and enters the degraded phase.
+  static constexpr int kMaxConsecutiveFailures = 5;
+  // Delay between actuation retries, in control periods (the manager acts
+  // only at period boundaries, so that is its native clock): 1, 2, 4, 8,
+  // 8, ... periods, each stretched by up to ±25% jitter.
+  static constexpr BackoffOptions kRetryBackoff{
+      .initial = 1.0, .multiplier = 2.0, .max = 8.0, .jitter = 0.25};
+  // Consecutive successful fair-share applies in the degraded phase before
+  // the substrate is declared healthy and adaptation restarts.
+  static constexpr int kDegradedRecoverySuccesses = 3;
+  // K: consecutive bad counter samples (dropped, stale, or saturated)
+  // before an app is quarantined; consecutive good samples that release it.
+  static constexpr int kQuarantineAfterBadSamples = 3;
+  static constexpr int kQuarantineReleaseGoodSamples = 3;
+  // Instruction-delta ceiling per sample; anything above is a saturated or
+  // wrapped counter, never a real reading (16 cores * 2.1 GHz * 0.5 s is
+  // ~1.7e10).
+  static constexpr double kSaturationInstructions = 1e12;
 
   // Drives the registry policy named by params.partition_policy.
   ResourceManager(Resctrl* resctrl, PerfMonitor* monitor,
@@ -196,12 +214,6 @@ class ResourceManager {
 
   bool Quarantined(AppId app) const;
 
-  // --- Unfairness-trend backoff (params.trend) ---
-  TrendState trend_state() const { return trend_state_; }
-  static const char* TrendStateName(TrendState state);
-  uint64_t trend_backoffs() const { return trend_backoffs_; }
-  uint64_t trend_reprobes() const { return trend_reprobes_; }
-
   // Wall-clock cost of the most recent / accumulated getNextSystemState
   // calls — the paper's overhead metric (Fig. 16).
   double last_exploration_us() const { return last_exploration_us_; }
@@ -281,8 +293,8 @@ class ResourceManager {
   // every app is profiled (and for probe-free policies).
   void StartAdaptation();
   // Clears every `profiled` bit, then StartAdaptation: the triggers that
-  // invalidate every slowdown reference (IPS drift, the trend re-probe,
-  // pool changes, degraded recovery) re-profile every app.
+  // invalidate every slowdown reference (IPS drift, pool changes, degraded
+  // recovery) re-profile every app.
   void StartFullAdaptation();
   // Index of the first app at or after `from` still to profile;
   // apps_.size() when there is none.
@@ -347,7 +359,7 @@ class ResourceManager {
 
   // ApplyPlan plus the retry policy: on success, clears the failure
   // streak; on failure, schedules a retry under backoff and, after
-  // max_consecutive_failures in a row, enters the degraded phase. Returns
+  // kMaxConsecutiveFailures in a row, enters the degraded phase. Returns
   // true when the plan is on the machine.
   bool Actuate(const ActuationPlan& plan);
 
@@ -360,13 +372,6 @@ class ResourceManager {
 
   // Samples `app` through TrySample and updates its quarantine streaks.
   SampleOutcome SampleApp(ManagedApp& app);
-
-  // Feeds one exploration-period unfairness measurement to the trend
-  // governor. Returns true when the rising streak reached
-  // max_increasing_intervals and the caller must engage the backoff.
-  bool ObserveUnfairnessTrend(double unfairness);
-  // Re-arms the governor (called whenever adaptation restarts).
-  void ResetTrend();
 
   // Converts a backoff delay in periods to whole ticks (at least 1).
   int DelayTicks(double periods) const;
@@ -438,15 +443,6 @@ class ResourceManager {
   uint64_t degraded_entries_ = 0;
   uint64_t degraded_recoveries_ = 0;
   uint64_t quarantines_ = 0;
-
-  // Unfairness-trend governor state (inert unless params.trend.enabled).
-  TrendState trend_state_ = TrendState::kOff;
-  int trend_warmup_remaining_ = 0;
-  int trend_increase_streak_ = 0;
-  int trend_backoff_remaining_ = 0;
-  double trend_prev_unfairness_ = 0.0;
-  uint64_t trend_backoffs_ = 0;
-  uint64_t trend_reprobes_ = 0;
 
   uint64_t last_seen_generation_ = 0;
   // Machine input generation at the last idle readback that found no

@@ -22,7 +22,7 @@ void StaticPartitionPolicy::FairShare(const ResourcePool& pool,
                                       size_t num_apps,
                                       PartitionDecision* decision) const {
   if (shared_) {
-    decision->state = SystemState::EqualShare(pool, 1);
+    decision->state.AssignEqualShare(pool, 1);
     decision->app_slot.assign(num_apps, 0);
     decision->ClearExtras();
     return;
@@ -31,7 +31,7 @@ void StaticPartitionPolicy::FairShare(const ResourcePool& pool,
       fixed_->pool() == pool) {
     decision->state = *fixed_;
   } else {
-    decision->state = SystemState::EqualShareThrottled(pool, num_apps);
+    decision->state.AssignEqualShareThrottled(pool, num_apps);
   }
   MakePerAppDecision(decision);
 }

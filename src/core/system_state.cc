@@ -21,12 +21,26 @@ SystemState::SystemState(ResourcePool pool,
 
 SystemState SystemState::EqualShare(const ResourcePool& pool,
                                     size_t num_apps) {
+  SystemState state;
+  state.AssignEqualShare(pool, num_apps);
+  return state;
+}
+
+SystemState SystemState::EqualShareThrottled(const ResourcePool& pool,
+                                             size_t num_apps) {
+  SystemState state;
+  state.AssignEqualShareThrottled(pool, num_apps);
+  return state;
+}
+
+void SystemState::AssignEqualShare(const ResourcePool& pool,
+                                   size_t num_apps) {
   CHECK_GT(num_apps, 0u);
   CHECK_GE(pool.num_ways, num_apps) << "fewer ways than apps";
-  std::vector<AppAllocation> allocations(num_apps);
+  Reshape(pool, num_apps);
   const uint32_t base = pool.num_ways / static_cast<uint32_t>(num_apps);
   uint32_t remainder = pool.num_ways % static_cast<uint32_t>(num_apps);
-  for (AppAllocation& allocation : allocations) {
+  for (AppAllocation& allocation : allocations_) {
     allocation.llc_ways = base + (remainder > 0 ? 1 : 0);
     if (remainder > 0) {
       --remainder;
@@ -34,18 +48,16 @@ SystemState SystemState::EqualShare(const ResourcePool& pool,
     allocation.mba_level = MbaLevel::FromPercentChecked(
         RoundToMbaStep(pool.max_mba_percent));
   }
-  return SystemState(pool, std::move(allocations));
 }
 
-SystemState SystemState::EqualShareThrottled(const ResourcePool& pool,
-                                             size_t num_apps) {
-  SystemState state = EqualShare(pool, num_apps);
+void SystemState::AssignEqualShareThrottled(const ResourcePool& pool,
+                                            size_t num_apps) {
+  AssignEqualShare(pool, num_apps);
   const uint32_t share = RoundToMbaStep(
       pool.max_mba_percent / static_cast<uint32_t>(num_apps));
-  for (AppAllocation& allocation : state.allocations_) {
+  for (AppAllocation& allocation : allocations_) {
     allocation.mba_level = MbaLevel::FromPercentChecked(share);
   }
-  return state;
 }
 
 const AppAllocation& SystemState::allocation(size_t app) const {

@@ -56,11 +56,14 @@ class SystemState {
   // remainder), every app at the pool's MBA ceiling. CHECK-fails when there
   // are more apps than ways.
   static SystemState EqualShare(const ResourcePool& pool, size_t num_apps);
-
   // Equal ways, MBA level ~= ceiling/num_apps rounded to the platform step
   // (the EQ baseline's "equal memory bandwidth" interpretation).
   static SystemState EqualShareThrottled(const ResourcePool& pool,
                                          size_t num_apps);
+  // The same shares written into this state in place (Reshape's storage
+  // reuse): what the policies' per-period fair shares call.
+  void AssignEqualShare(const ResourcePool& pool, size_t num_apps);
+  void AssignEqualShareThrottled(const ResourcePool& pool, size_t num_apps);
 
   size_t NumApps() const { return allocations_.size(); }
   const ResourcePool& pool() const { return pool_; }

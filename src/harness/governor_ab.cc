@@ -19,7 +19,6 @@ ServeScenarioConfig BaseScenario() {
   config.duration_sec = 30.0;
   config.control_period_sec = 0.1;
   config.copart_params.slo.protect_rps_threshold = 150000.0;
-  config.copart_params.slo.batch_mba_protect_percent = 50;
   return config;
 }
 

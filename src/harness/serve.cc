@@ -468,7 +468,6 @@ ServeScenarioConfig Section63ServeScenario() {
   // Batch MBA protection engages during the burst (§6.3: CoPart throttles
   // the batch slice while memcached rides the load step).
   config.copart_params.slo.protect_rps_threshold = 150000.0;
-  config.copart_params.slo.batch_mba_protect_percent = 50;
   return config;
 }
 
@@ -493,7 +492,6 @@ ServeScenarioConfig Fig15ServeScenario() {
   config.batch_apps.push_back(ServeBatchSpec{Kmeans(), 4});
 
   config.copart_params.slo.protect_rps_threshold = 100000.0;
-  config.copart_params.slo.batch_mba_protect_percent = 50;
   return config;
 }
 

@@ -79,6 +79,10 @@ void WhatIfEvaluator::EvaluateInto(const SystemState& state,
   outcome->throughput_geomean = GeoMeanThroughput(outcome->predicted_ips);
 }
 
+SystemState WhatIfEvaluator::UcpAllocation(const ResourcePool& pool) const {
+  return ComputeUcpAllocation(machine_, apps_, pool);
+}
+
 WhatIfOutcome WhatIfEvaluator::Evaluate(const SystemState& state) {
   WhatIfOutcome outcome;
   EvaluateInto(state, &outcome);
@@ -106,19 +110,8 @@ WhatIfOutcome PredictUcpOutcome(
     const std::vector<WorkloadDescriptor>& workloads,
     const ResourcePool& pool, const MachineConfig& machine_config,
     uint32_t cores_per_app) {
-  MachineConfig config = machine_config;
-  config.ips_noise_sigma = 0.0;
-  SimulatedMachine machine(config);
-  std::vector<AppId> apps;
-  for (const WorkloadDescriptor& workload : workloads) {
-    const uint32_t cores =
-        cores_per_app > 0 ? cores_per_app : workload.num_threads;
-    Result<AppId> app = machine.LaunchApp(workload, cores);
-    CHECK(app.ok()) << app.status().ToString();
-    apps.push_back(*app);
-  }
-  const SystemState state = ComputeUcpAllocation(machine, apps, pool);
-  return PredictOutcome(workloads, state, machine_config, cores_per_app);
+  WhatIfEvaluator evaluator(workloads, machine_config, cores_per_app);
+  return evaluator.Evaluate(evaluator.UcpAllocation(pool));
 }
 
 }  // namespace copart

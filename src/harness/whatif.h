@@ -85,6 +85,10 @@ class WhatIfEvaluator {
   WhatIfOutcome Evaluate(const SystemState& state);
   void EvaluateInto(const SystemState& state, WhatIfOutcome* outcome);
 
+  // The UCP way split of this evaluator's apps within `pool`
+  // (ComputeUcpAllocation reads only descriptors, cores and the config).
+  SystemState UcpAllocation(const ResourcePool& pool) const;
+
   size_t NumApps() const { return apps_.size(); }
 
  private:

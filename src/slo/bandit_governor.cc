@@ -5,47 +5,17 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "serve/queue_model.h"
 
 namespace copart {
 
 constexpr std::array<int, 4> BanditSloGovernor::kArms;
 
+static_assert(BanditSloGovernor::kWayCost >= 0.0);
+
 BanditSloGovernor::BanditSloGovernor(const SloParams& params,
                                      LcAppModel model)
     : SloGovernor(params, std::move(model)) {
   CHECK_GE(params_.bandit.exploration_c, 0.0);
-  CHECK_GE(params_.bandit.way_cost, 0.0);
-  CHECK_GT(params_.bandit.load_bucket_step, 1.0);
-}
-
-int BanditSloGovernor::LoadBucket(double offered_rps) const {
-  if (!(offered_rps > 1.0)) return 0;
-  return static_cast<int>(
-      std::floor(std::log(offered_rps) /
-                 std::log(params_.bandit.load_bucket_step)));
-}
-
-// Identical arithmetic to the threshold walk: the bandit perturbs the
-// analytic base width, it does not replace it.
-SloDecision BanditSloGovernor::SmallestMeeting(double offered_rps,
-                                               uint32_t max_ways) {
-  const double target_ms = model_.slo_p95_ms / params_.headroom;
-  const uint32_t floor = std::min(params_.lc_way_floor, max_ways);
-  SloDecision decision;
-  decision.attainable = false;
-  for (uint32_t ways = floor; ways <= max_ways; ++ways) {
-    const double service_rps = ServiceRps(ways);
-    const double p95_ms = PredictedP95Ms(offered_rps, service_rps);
-    decision.lc_ways = ways;
-    decision.predicted_p95_ms = p95_ms;
-    if (p95_ms <= target_ms &&
-        offered_rps <= params_.max_utilization * service_rps) {
-      decision.attainable = true;
-      break;
-    }
-  }
-  return decision;
 }
 
 size_t BanditSloGovernor::PickArm(const Context& context) {
@@ -75,46 +45,18 @@ size_t BanditSloGovernor::PickArm(const Context& context) {
   return best;
 }
 
-SloDecision BanditSloGovernor::Plan(double offered_rps, uint32_t max_ways,
-                                    uint32_t current_ways,
-                                    uint32_t pool_max_mba) {
-  CHECK_GE(max_ways, 1u);
-  SloDecision base = SmallestMeeting(offered_rps, max_ways);
-
-  // Same shrink hysteresis the threshold loop applies to its base width.
-  if (current_ways > 0 && base.lc_ways < current_ways) {
-    const SloDecision guarded = SmallestMeeting(
-        offered_rps * params_.shrink_load_margin, max_ways);
-    if (guarded.lc_ways > base.lc_ways) {
-      base.lc_ways = std::min(current_ways, guarded.lc_ways);
-    }
-  }
-
-  const uint32_t floor = std::min(params_.lc_way_floor, max_ways);
+void BanditSloGovernor::StepAfterWalk(double offered_rps, uint32_t max_ways,
+                                      SloDecision* decision) {
+  const uint32_t floor = WayFloor(max_ways);
   const Context context{LoadBucket(offered_rps), last_phase_};
   const size_t arm = PickArm(context);
-  const int64_t delta = kArms[arm];
-  const int64_t proposed = static_cast<int64_t>(base.lc_ways) + delta;
+  const int64_t proposed =
+      static_cast<int64_t>(decision->lc_ways) + kArms[arm];
   const uint32_t ways = static_cast<uint32_t>(
       std::clamp<int64_t>(proposed, floor, max_ways));
-
-  SloDecision decision;
-  decision.lc_ways = ways;
-  const double service_rps = ServiceRps(ways);
-  decision.predicted_p95_ms = PredictedP95Ms(offered_rps, service_rps);
-  decision.attainable =
-      decision.predicted_p95_ms <= model_.slo_p95_ms / params_.headroom &&
-      offered_rps <= params_.max_utilization * service_rps;
-
-  decision.batch_mba_percent = pool_max_mba;
-  const bool protect =
-      !decision.attainable ||
-      (params_.protect_rps_threshold > 0.0 &&
-       offered_rps >= params_.protect_rps_threshold);
-  if (protect) {
-    decision.batch_mba_percent =
-        std::min(pool_max_mba, params_.batch_mba_protect_percent);
-  }
+  decision->lc_ways = ways;
+  decision->predicted_p95_ms = P95Ms(offered_rps, ways);
+  decision->attainable = Meets(offered_rps, ways, decision->predicted_p95_ms);
 
   pending_valid_ = true;
   pending_context_ = context;
@@ -123,7 +65,6 @@ SloDecision BanditSloGovernor::Plan(double offered_rps, uint32_t max_ways,
       max_ways > floor
           ? static_cast<double>(ways - floor) / (max_ways - floor)
           : 0.0;
-  return decision;
 }
 
 void BanditSloGovernor::ObserveOutcome(const SloOutcome& outcome) {
@@ -132,8 +73,7 @@ void BanditSloGovernor::ObserveOutcome(const SloOutcome& outcome) {
   pending_valid_ = false;
   const bool meets = !outcome.stalled &&
                      outcome.measured_p95_ms <= model_.slo_p95_ms;
-  const double reward =
-      meets ? 1.0 - params_.bandit.way_cost * pending_extra_frac_ : 0.0;
+  const double reward = meets ? 1.0 - kWayCost * pending_extra_frac_ : 0.0;
   ArmStat& stat = arms_[{pending_context_, pending_arm_}];
   stat.reward_sum += reward;
   ++stat.pulls;

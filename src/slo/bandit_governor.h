@@ -1,15 +1,16 @@
 // Contextual-bandit SLO governor: UCB1 over way-delta arms (DESIGN.md §15).
 //
-// The analytic grow-ways-first walk supplies a base width; the bandit
-// then chooses a delta from {0, +1, +2, -1} ways via a UCB1 index kept
-// per context, where the context is (log-scale offered-load bucket ×
-// workload phase id). Phase id arrives through ObserveOutcome — the
-// serve harness reports the phase that actually ran — so a phase shift
-// switches the bandit to a fresh arm table and it re-converges instead of
-// trusting the phase-blind analytic model. Rewards are 1 for an
-// SLO-meeting period minus a small cost per extra way held (so the
-// narrowest sufficient delta wins) and 0 for a violating or stalled
-// period.
+// The analytic grow-ways-first walk (SloGovernor::Plan) supplies a base
+// width; the bandit's one step after the walk then moves it by a delta
+// from {0, +1, +2, -1} ways via a UCB1 index kept per context, where the
+// context is (log-scale offered-load bucket × workload phase id). Phase
+// id arrives through ObserveOutcome — the serve harness reports the
+// phase that actually ran — so a phase shift switches the bandit to a
+// fresh arm table and it re-converges instead of trusting the
+// phase-blind analytic model. Rewards are 1 for an
+// SLO-meeting period minus kWayCost times the fraction of permitted extra
+// ways held (so the narrowest sufficient delta wins) and 0 for a violating
+// or stalled period.
 //
 // Deterministic by construction: no randomness — unplayed arms are
 // explored in fixed declaration order, ties resolve to the earliest arm,
@@ -29,12 +30,12 @@ namespace copart {
 
 class BanditSloGovernor : public SloGovernor {
  public:
+  // Reward shaping: the cost of holding every permitted extra way.
+  static constexpr double kWayCost = 0.05;
+
   BanditSloGovernor(const SloParams& params, LcAppModel model);
 
   const char* name() const override { return "bandit"; }
-
-  SloDecision Plan(double offered_rps, uint32_t max_ways,
-                   uint32_t current_ways, uint32_t pool_max_mba) override;
 
   void ObserveOutcome(const SloOutcome& outcome) override;
 
@@ -53,8 +54,9 @@ class BanditSloGovernor : public SloGovernor {
   // Context key: (load bucket, phase id).
   using Context = std::pair<int, size_t>;
 
-  int LoadBucket(double offered_rps) const;
-  SloDecision SmallestMeeting(double offered_rps, uint32_t max_ways);
+  // Moves the walk's width by the UCB arm picked for this context.
+  void StepAfterWalk(double offered_rps, uint32_t max_ways,
+                     SloDecision* decision) override;
   size_t PickArm(const Context& context);
 
   std::map<std::pair<Context, size_t>, ArmStat> arms_;

@@ -2,145 +2,75 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <utility>
-
-#include "common/logging.h"
-#include "serve/queue_model.h"
 
 namespace copart {
 
-MpcSloGovernor::MpcSloGovernor(const SloParams& params, LcAppModel model)
-    : SloGovernor(params, std::move(model)) {
-  CHECK_GT(params_.mpc.learning_rate, 0.0);
-  CHECK_LE(params_.mpc.learning_rate, 1.0);
-  CHECK_GT(params_.mpc.min_correction, 0.0);
-  CHECK_GE(params_.mpc.max_correction, params_.mpc.min_correction);
-  CHECK_GE(params_.mpc.min_cell_samples, 1);
-  CHECK_GT(params_.mpc.load_bucket_step, 1.0);
-}
-
-int MpcSloGovernor::LoadBucket(double offered_rps) const {
-  if (!(offered_rps > 1.0)) return 0;
-  return static_cast<int>(
-      std::floor(std::log(offered_rps) /
-                 std::log(params_.mpc.load_bucket_step)));
-}
+static_assert(MpcSloGovernor::kLearningRate > 0.0 &&
+              MpcSloGovernor::kLearningRate <= 1.0);
+static_assert(MpcSloGovernor::kMinCorrection > 0.0 &&
+              MpcSloGovernor::kMaxCorrection >= MpcSloGovernor::kMinCorrection);
+static_assert(MpcSloGovernor::kMinCellSamples >= 1);
 
 double MpcSloGovernor::CorrectionFor(uint32_t ways,
                                      double offered_rps) const {
   const int bucket = LoadBucket(offered_rps);
   const auto cell = cells_.find({ways, bucket});
-  if (cell != cells_.end() &&
-      cell->second.samples >= params_.mpc.min_cell_samples) {
+  if (cell != cells_.end() && cell->second.samples >= kMinCellSamples) {
     return cell->second.correction;
   }
   const auto marginal = load_marginal_.find(bucket);
   if (marginal != load_marginal_.end() &&
-      marginal->second.samples >= params_.mpc.min_cell_samples) {
+      marginal->second.samples >= kMinCellSamples) {
     return marginal->second.correction;
   }
   return 1.0;  // Optimistic prior: trust the analytic model until taught.
 }
 
-double MpcSloGovernor::CorrectedP95Ms(double offered_rps, uint32_t ways) {
-  const double analytic = PredictedP95Ms(offered_rps, ServiceRps(ways));
+double MpcSloGovernor::P95Ms(double offered_rps, uint32_t ways) {
+  const double analytic = SloGovernor::P95Ms(offered_rps, ways);
   if (!std::isfinite(analytic)) return analytic;
   return analytic * CorrectionFor(ways, offered_rps);
 }
 
-SloDecision MpcSloGovernor::SmallestMeeting(double offered_rps,
-                                            uint32_t max_ways) {
-  const double target_ms = model_.slo_p95_ms / params_.headroom;
-  const uint32_t floor = std::min(params_.lc_way_floor, max_ways);
-  SloDecision decision;
-  decision.attainable = false;
-  for (uint32_t ways = floor; ways <= max_ways; ++ways) {
-    const double p95_ms = CorrectedP95Ms(offered_rps, ways);
-    decision.lc_ways = ways;
-    decision.predicted_p95_ms = p95_ms;
-    if (p95_ms <= target_ms &&
-        offered_rps <= params_.max_utilization * ServiceRps(ways)) {
-      decision.attainable = true;
-      break;
-    }
-  }
-  return decision;
-}
-
-SloDecision MpcSloGovernor::Plan(double offered_rps, uint32_t max_ways,
-                                 uint32_t current_ways,
-                                 uint32_t pool_max_mba) {
-  CHECK_GE(max_ways, 1u);
-  SloDecision decision = SmallestMeeting(offered_rps, max_ways);
-
-  // Same shrink hysteresis as the threshold loop, evaluated on the
-  // corrected surface.
-  if (current_ways > 0 && decision.lc_ways < current_ways) {
-    const SloDecision guarded = SmallestMeeting(
-        offered_rps * params_.shrink_load_margin, max_ways);
-    if (guarded.lc_ways > decision.lc_ways) {
-      decision.lc_ways = std::min(current_ways, guarded.lc_ways);
-      decision.predicted_p95_ms =
-          CorrectedP95Ms(offered_rps, decision.lc_ways);
-    }
-  }
-
-  decision.batch_mba_percent = pool_max_mba;
-  bool protect = !decision.attainable ||
-                 (params_.protect_rps_threshold > 0.0 &&
-                  offered_rps >= params_.protect_rps_threshold);
-  // Predictive protection: the learned marginal says the analytic model
-  // under-predicts tail latency at this load level — shield the LC app's
-  // memory traffic before the queue proves it again.
-  if (!protect && params_.mpc.protect_correction > 0.0) {
-    const auto marginal = load_marginal_.find(LoadBucket(offered_rps));
-    if (marginal != load_marginal_.end() &&
-        marginal->second.samples >= params_.mpc.min_cell_samples &&
-        marginal->second.correction >= params_.mpc.protect_correction) {
-      protect = true;
-    }
-  }
-  if (protect) {
-    decision.batch_mba_percent =
-        std::min(pool_max_mba, params_.batch_mba_protect_percent);
-  }
-  return decision;
-}
-
-void MpcSloGovernor::Absorb(Cell& cell, double ratio, double learning_rate) {
-  if (cell.samples == 0) {
-    cell.correction = ratio;
-  } else {
-    cell.correction =
-        (1.0 - learning_rate) * cell.correction + learning_rate * ratio;
-  }
-  ++cell.samples;
+// The learned marginal says the analytic model under-predicts tail latency
+// at this load level — shield the LC app's memory traffic before the queue
+// proves it again.
+bool MpcSloGovernor::PredictsOverload(double offered_rps) const {
+  const auto marginal = load_marginal_.find(LoadBucket(offered_rps));
+  return marginal != load_marginal_.end() &&
+         marginal->second.samples >= kMinCellSamples &&
+         marginal->second.correction >= kProtectCorrection;
 }
 
 void MpcSloGovernor::ObserveOutcome(const SloOutcome& outcome) {
   if (outcome.lc_ways == 0) return;
   const double analytic =
-      PredictedP95Ms(outcome.offered_rps, ServiceRps(outcome.lc_ways));
+      SloGovernor::P95Ms(outcome.offered_rps, outcome.lc_ways);
   double ratio;
   if (outcome.stalled) {
     // Queued requests, zero completions: the strongest evidence the
     // analytic model over-estimated capability at this operating point.
-    ratio = params_.mpc.max_correction;
+    ratio = kMaxCorrection;
   } else if (std::isfinite(analytic) && analytic > 0.0 &&
              outcome.measured_p95_ms > 0.0) {
-    ratio = std::clamp(outcome.measured_p95_ms / analytic,
-                       params_.mpc.min_correction,
-                       params_.mpc.max_correction);
+    ratio = std::clamp(outcome.measured_p95_ms / analytic, kMinCorrection,
+                       kMaxCorrection);
   } else {
     // The analytic model already predicted saturation (+inf) or the
     // period completed nothing without queueing: no ratio to learn from.
     return;
   }
+  // EWMA of the ratios; a cell's first outcome sets it outright.
+  const auto absorb = [ratio](Cell& cell) {
+    cell.correction = cell.samples == 0
+                          ? ratio
+                          : (1.0 - kLearningRate) * cell.correction +
+                                kLearningRate * ratio;
+    ++cell.samples;
+  };
   const int bucket = LoadBucket(outcome.offered_rps);
-  Absorb(cells_[{outcome.lc_ways, bucket}], ratio,
-         params_.mpc.learning_rate);
-  Absorb(load_marginal_[bucket], ratio, params_.mpc.learning_rate);
+  absorb(cells_[{outcome.lc_ways, bucket}]);
+  absorb(load_marginal_[bucket]);
   ++outcomes_observed_;
 }
 

@@ -6,11 +6,17 @@
 // resource pool, transactional actuation and telemetry. An SloGovernor
 // owns the *sizing decision*: given the offered load and the permitted
 // width range, pick the slice width and whether the batch MBA ceiling must
-// be capped. The hand-tuned M/M/1 threshold loop shipped in PR 5 is one
-// implementation (slo/threshold_governor.h, extracted bit-identically and
-// golden-enforced); the online-learned rivals are others
-// (slo/mpc_governor.h, slo/bandit_governor.h). The registry mirrors the
-// PartitionPolicy pattern (core/partition_policy.h).
+// be capped.
+//
+// Every governor runs one walk, Plan(): grow ways first — the smallest
+// width in [floor, max_ways] whose predicted p95 meets the SLO with
+// kHeadroom and whose utilization stays at or below kMaxUtilization — then
+// the shrink hysteresis, then the batch MBA protection. SloGovernor with
+// no override IS the hand-tuned M/M/1 threshold loop ("threshold",
+// golden-enforced). The online-learned rivals override hooks of that one
+// walk: the MPC governor (slo/mpc_governor.h) its p95 prediction and its
+// predictive-protection test, the bandit (slo/bandit_governor.h) one arm
+// step after the walk.
 //
 // Learned governors close the loop through ObserveOutcome: the serve
 // harness reports each period's measured p95 back through
@@ -84,39 +90,74 @@ struct SloOutcome {
 
 class SloGovernor {
  public:
+  // The slice is sized so predicted p95 <= slo_p95_ms / kHeadroom.
+  static constexpr double kHeadroom = 1.25;
+  // Capacity guard: the slice must also keep offered/service utilization
+  // at or below this. Near saturation the M/M/1 tail is hyper-sensitive
+  // to capability-model error (a few percent of optimism turns a "meets
+  // the SLO" plan into an overloaded queue), so the p95 test alone is not
+  // a safe provisioning criterion.
+  static constexpr double kMaxUtilization = 0.9;
+  // Shrink hysteresis: a narrower slice is adopted only if it still meets
+  // the target with the offered load inflated by this factor, so way
+  // quantization noise cannot flap the slice every period.
+  static constexpr double kShrinkLoadMargin = 1.2;
+  // Batch MBA ceiling while protection is engaged (SloParams::
+  // protect_rps_threshold, an unattainable SLO, or a learned signal).
+  static constexpr uint32_t kBatchMbaProtectPercent = 50;
+  // Log-scale offered-load bucketing of the learned governors' tables:
+  // bucket = floor(log(rps) / log(kLoadBucketStep)).
+  static constexpr double kLoadBucketStep = 1.25;
+
+  // The threshold governor; MakeSloGovernor builds every governor.
+  SloGovernor(const SloParams& params, LcAppModel model);
   virtual ~SloGovernor() = default;
 
-  virtual const char* name() const = 0;
+  virtual const char* name() const { return "threshold"; }
 
   // Plans the slice for `offered_rps` with widths in [floor, max_ways].
   // `current_ways` (0 = none yet) engages the shrink hysteresis;
-  // `pool_max_mba` is the batch ceiling when protection is off. Every
-  // governor must honor SloParams::lc_way_floor: the returned width is
-  // never below min(lc_way_floor, max_ways).
-  virtual SloDecision Plan(double offered_rps, uint32_t max_ways,
-                           uint32_t current_ways, uint32_t pool_max_mba) = 0;
+  // `pool_max_mba` is the batch ceiling when protection is off. The
+  // returned width is never below min(lc_way_floor, max_ways).
+  SloDecision Plan(double offered_rps, uint32_t max_ways,
+                   uint32_t current_ways, uint32_t pool_max_mba);
 
   // Feeds the measured outcome of the previously planned period. The
   // threshold governor ignores it; learned governors update their model.
   virtual void ObserveOutcome(const SloOutcome& /*outcome*/) {}
 
   const LcAppModel& model() const { return model_; }
-  const SloParams& params() const { return params_; }
 
  protected:
-  // Validates the shared knobs/model once; every governor runs the same
-  // admission checks the original threshold loop did.
-  SloGovernor(const SloParams& params, LcAppModel model);
+  // Predicted p95 (ms) at `ways`: the analytic M/M/1 tail.
+  virtual double P95Ms(double offered_rps, uint32_t ways);
+  // True when a learned signal asks for the batch MBA cap although the
+  // plan is attainable and below protect_rps_threshold.
+  virtual bool PredictsOverload(double /*offered_rps*/) const {
+    return false;
+  }
+  // Moves the walk's width (after the hysteresis, before protection).
+  virtual void StepAfterWalk(double /*offered_rps*/, uint32_t /*max_ways*/,
+                             SloDecision* /*decision*/) {}
 
   // Service rate (requests/s) at `ways`, memoized: capability_ips may be
   // an expensive model evaluation (e.g. a what-if machine solve) and
   // Plan probes the same few widths every period.
   double ServiceRps(uint32_t ways);
+  // True when `p95_ms` at `ways` meets the SLO with headroom and the
+  // utilization guard holds.
+  bool Meets(double offered_rps, uint32_t ways, double p95_ms);
+  uint32_t WayFloor(uint32_t max_ways) const;
+  static int LoadBucket(double offered_rps);
 
   SloParams params_;
   LcAppModel model_;
 
  private:
+  // The smallest width in [floor, max_ways] meeting the SLO for
+  // `offered_rps`; attainable=false (and width max_ways) when none does.
+  SloDecision SmallestMeeting(double offered_rps, uint32_t max_ways);
+
   // Per-width memo for ServiceRps; negative entries are unset.
   std::vector<double> service_rps_cache_;
 };

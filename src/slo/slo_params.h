@@ -11,45 +11,12 @@
 
 namespace copart {
 
-// Model-predictive governor (slo/mpc_governor.h): learns multiplicative
-// corrections to the analytic M/M/1 p95 prediction from decision/outcome
-// pairs, bucketed by (slice width, offered-load bucket).
-struct SloMpcParams {
-  // EWMA weight of a fresh measured/predicted p95 ratio.
-  double learning_rate = 0.3;
-  // Corrections are clamped into [min_correction, max_correction]; a
-  // stalled epoch (completions 0, queue > 0) records max_correction. The
-  // ceiling is deliberately high: during a queue-drain transient the
-  // steady-state model predicts microseconds while the backlog serves in
-  // milliseconds, and the correction must span that gap for the governor
-  // to buy drain bandwidth (extra ways) instead of re-trusting the model.
-  double min_correction = 0.25;
-  double max_correction = 64.0;
-  // Cells answer the optimistic prior (correction 1.0 — trust the analytic
-  // model) until they have accumulated this many outcomes; below it the
-  // load-bucket marginal stands in when IT has enough samples.
-  int min_cell_samples = 2;
-  // Log-scale offered-load bucketing: bucket = floor(log(rps)/log(step)).
-  double load_bucket_step = 1.25;
-  // Predictive MBA protection: when the learned load-marginal correction
-  // exceeds this factor (the analytic model is measurably optimistic at
-  // the current load), the batch MBA cap engages even below the static
-  // protect_rps_threshold. <= 0 disables.
-  double protect_correction = 1.5;
-};
-
 // Contextual-bandit governor (slo/bandit_governor.h): UCB1 over way-delta
-// arms applied to the analytic base plan, with context = offered-load
-// bucket x workload phase id.
+// arms applied to the walk's width, with context = offered-load bucket x
+// workload phase id.
 struct SloBanditParams {
   // Exploration constant of the UCB index (mean + c*sqrt(ln N / n)).
   double exploration_c = 0.5;
-  // Reward shaping: an SLO-meeting epoch is worth 1 minus this cost times
-  // the fraction of permitted extra ways held, so the bandit prefers the
-  // narrowest delta that still meets the SLO.
-  double way_cost = 0.05;
-  // Same log-scale load bucketing as the MPC governor.
-  double load_bucket_step = 1.25;
 };
 
 // SLO-aware serving mode (paper §6.3, DESIGN.md §9). When enabled, the
@@ -58,7 +25,9 @@ struct SloBanditParams {
 // (ResourceManager::SetLatencyCriticalApp) gets the smallest CLOS for
 // which its predicted p95 — an M/M/1 sojourn tail at the app's modelled
 // IPS capability (serve/queue_model.h) — meets the SLO with headroom,
-// and the batch apps are matched over the remaining ways.
+// and the batch apps are matched over the remaining ways. The walk's
+// tuning values (headroom, utilization guard, shrink margin, MBA cap)
+// are constants of SloGovernor (slo/slo_governor.h).
 struct SloParams {
   bool enabled = false;
 
@@ -72,31 +41,14 @@ struct SloParams {
   // the actuated LC mask narrower — for EVERY registered governor.
   uint32_t lc_way_floor = 1;
 
-  // The LC slice is sized so predicted p95 <= slo_p95_ms / headroom.
-  double headroom = 1.25;
-
-  // Capacity guard: the slice must also keep offered/service utilization
-  // at or below this. Near saturation the M/M/1 tail is hyper-sensitive
-  // to capability-model error (a few percent of optimism turns a "meets
-  // the SLO" plan into an overloaded queue), so the p95 test alone is not
-  // a safe provisioning criterion.
-  double max_utilization = 0.9;
-
-  // Shrink hysteresis: a narrower slice is adopted only if it still meets
-  // the target with the offered load inflated by this factor, so way
-  // quantization noise cannot flap the slice every period.
-  double shrink_load_margin = 1.2;
-
   // Offered load (requests/s) at or above which the batch slice's MBA
-  // ceiling is capped to batch_mba_protect_percent, shielding the LC
-  // app's memory traffic during load peaks (Fig. 15's burst response);
-  // <= 0 disables. The cap also engages whenever the SLO is predicted
-  // unattainable at every permitted slice width.
+  // ceiling is capped (SloGovernor::kBatchMbaProtectPercent), shielding
+  // the LC app's memory traffic during load peaks (Fig. 15's burst
+  // response); <= 0 disables. The cap also engages whenever the SLO is
+  // predicted unattainable at every permitted slice width.
   double protect_rps_threshold = 0.0;
-  uint32_t batch_mba_protect_percent = 50;
 
-  // Learned-governor knobs (unused by "threshold").
-  SloMpcParams mpc;
+  // Bandit-governor knob (unused by "threshold" and "mpc").
   SloBanditParams bandit;
 };
 

@@ -1,8 +1,9 @@
 // The actuation transaction, driven directly against a fault-injected
 // resctrl: it writes only the registers that differ from the plan, verifies
 // every register by readback, and on failure writes back exactly what it
-// issued. Also the group lifecycle: a failed bind removes the new group, and
-// a failed removal parks it for the zombie retry.
+// issued. Also the group lifecycle: a bind issues nothing when the app
+// already runs in the group, a failed bind removes the new group, and a
+// failed removal parks it for the zombie retry.
 #include <string>
 #include <vector>
 
@@ -171,6 +172,23 @@ TEST_F(ActuatorTest, HoldsSeesAnOutOfBandEdit) {
   bound.AddBind(groups_[0], apps_[0]);
   EXPECT_TRUE(actuator_.Holds(plan));
   EXPECT_FALSE(actuator_.Holds(bound));
+}
+
+TEST_F(ActuatorTest, BindThatAlreadyHoldsIssuesNothing) {
+  // A newcomer starts in the default group; apps_[1] runs in groups_[1].
+  Result<AppId> app = machine_.LaunchApp(Ep(), 2);
+  ASSERT_TRUE(app.ok());
+  injector_.Arm(fault_points::kResctrlAssignApp, FirstQuery());
+  const uint64_t queries = injector_.total_queries();
+  EXPECT_TRUE(actuator_.Bind(resctrl_.DefaultGroup(), *app).ok());
+  EXPECT_TRUE(actuator_.Bind(groups_[1], apps_[1]).ok());
+  EXPECT_EQ(injector_.total_queries(), queries);
+  EXPECT_EQ(injector_.PointQueries(fault_points::kResctrlAssignApp), 0u);
+
+  // A bind that moves the app still issues the tasks write.
+  EXPECT_EQ(actuator_.Bind(groups_[0], apps_[1]).code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(machine_.AppClos(apps_[1]), groups_[1].clos());
 }
 
 TEST_F(ActuatorTest, FailedBindOnCreationRemovesTheGroup) {

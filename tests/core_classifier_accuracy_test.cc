@@ -1,5 +1,5 @@
 // Classification accuracy of realistic sensing vs the exact baseline
-// (DESIGN.md §10.4): for every paper mix family the A/B harness runs the
+// (DESIGN.md §10.3): for every paper mix family the A/B harness runs the
 // same consolidation under exact, estimated, and estimated+noisy PMCs and
 // scores the per-period classifier decisions. This suite commits the
 // thresholds the repo promises:

@@ -62,8 +62,8 @@ TEST_F(DegradedModeTest, ConsecutiveActuationFailuresEnterDegraded) {
   ASSERT_EQ(manager_.phase(), ResourceManager::Phase::kProfiling);
   // Every L3 schemata write now fails: each transactional apply errors and
   // rolls back, the retry backs off exponentially, and after
-  // max_consecutive_failures (default 5) the manager must give up on
-  // adaptation. Backoff delays sum to well under 100 periods.
+  // kMaxConsecutiveFailures (5) the manager must give up on adaptation.
+  // Backoff delays sum to well under 100 periods.
   injector_.Arm(fault_points::kResctrlSetL3, ProbAlways());
   Run(100);
   EXPECT_EQ(manager_.phase(), ResourceManager::Phase::kDegraded);
@@ -79,7 +79,7 @@ TEST_F(DegradedModeTest, RecoversAndReadaptsOnceFaultsClear) {
   Run(100);
   ASSERT_EQ(manager_.phase(), ResourceManager::Phase::kDegraded);
   injector_.DisarmAll();
-  // degraded_recovery_successes (3) clean fair-share applies, spaced by the
+  // kDegradedRecoverySuccesses (3) clean fair-share applies, spaced by the
   // residual backoff, then adaptation restarts from profiling and converges.
   Run(200);
   EXPECT_NE(manager_.phase(), ResourceManager::Phase::kDegraded);
@@ -115,7 +115,7 @@ TEST_F(DegradedModeTest, BadCountersQuarantineAndRelease) {
             // sample every app every period.
   ASSERT_NE(manager_.phase(), ResourceManager::Phase::kProfiling);
   ASSERT_FALSE(manager_.Quarantined(a));
-  // Every PMC read now drops. After quarantine_after_bad_samples (3)
+  // Every PMC read now drops. After kQuarantineAfterBadSamples (3)
   // consecutive bad periods both apps are quarantined; the controller keeps
   // running on conservative placeholders instead of garbage.
   injector_.Arm(fault_points::kPmcDropped, ProbAlways());
@@ -124,7 +124,7 @@ TEST_F(DegradedModeTest, BadCountersQuarantineAndRelease) {
   EXPECT_TRUE(manager_.Quarantined(b));
   EXPECT_GE(manager_.quarantines(), 2u);
   EXPECT_TRUE(manager_.current_state().Valid());
-  // Counters come back: quarantine_release_good_samples (3) healthy periods
+  // Counters come back: kQuarantineReleaseGoodSamples (3) healthy periods
   // lift the quarantine.
   injector_.DisarmAll();
   Run(100);

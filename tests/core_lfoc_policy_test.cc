@@ -271,7 +271,7 @@ TEST(CbpSteadyStateTest, ThrottleEngagedAfterTheClusteringSettles) {
   Decide(policy, Signals(above), rng, &decision);
   EXPECT_FALSE(decision.converged);
   EXPECT_EQ(decision.prefetch_percent[2],
-            params.cbp.throttled_prefetch_percent);
+            CbpPolicy::kThrottledPrefetchPercent);
   EXPECT_EQ(policy.MbaClassOf(2), ResourceClass::kDemand);
 
   // The throttle holds, and the clustering settles again.
@@ -279,7 +279,7 @@ TEST(CbpSteadyStateTest, ThrottleEngagedAfterTheClusteringSettles) {
     policy.Classify(Signals(above));
     Decide(policy, Signals(above), rng, &decision);
     EXPECT_EQ(decision.prefetch_percent[2],
-              params.cbp.throttled_prefetch_percent);
+              CbpPolicy::kThrottledPrefetchPercent);
   }
   EXPECT_TRUE(decision.converged);
 }
@@ -345,19 +345,17 @@ class ReferenceLfoc : public LfocPolicy {
                               : hi > 0.0
                                   ? std::numeric_limits<double>::infinity()
                                   : 0.0;
-        if (spread > params_.lfoc.split_spread) {
+        if (spread > kSplitSpread) {
           ++*clusters;
-          *cooldown = params_.lfoc.resize_cooldown_periods;
-        } else if (spread < params_.lfoc.merge_spread && *clusters > 1) {
+          *cooldown = kResizeCooldownPeriods;
+        } else if (spread < kMergeSpread && *clusters > 1) {
           --*clusters;
-          *cooldown = params_.lfoc.resize_cooldown_periods;
+          *cooldown = kResizeCooldownPeriods;
         }
       }
     }
-    uint32_t light_ways =
-        lights.empty() ? 0 : std::max(params_.lfoc.light_ways, 1u);
-    uint32_t stream_ways =
-        streams.empty() ? 0 : std::max(params_.lfoc.streaming_ways, 1u);
+    uint32_t light_ways = lights.empty() ? 0 : kLightWays;
+    uint32_t stream_ways = streams.empty() ? 0 : kStreamingWays;
     const uint32_t sens_reserve = sens.empty() ? 0 : 1;
     const uint32_t side_slots =
         (lights.empty() ? 0u : 1u) + (streams.empty() ? 0u : 1u);
@@ -440,8 +438,7 @@ class ReferenceLfoc : public LfocPolicy {
         MbaLevel::FromPercentChecked(pool.max_mba_percent);
     const uint32_t stream_mba_percent = std::max(
         MbaLevel::kMin,
-        std::min(params_.lfoc.streaming_mba_percent / MbaLevel::kStep *
-                     MbaLevel::kStep,
+        std::min(kStreamingMbaPercent / MbaLevel::kStep * MbaLevel::kStep,
                  pool.max_mba_percent));
     std::vector<AppAllocation> slots;
     decision.app_slot.assign(n, 0u);

@@ -1,13 +1,9 @@
-// Chaos properties of the realistic-sensing stack (DESIGN.md §10): with
+// Chaos property of the realistic-sensing stack (DESIGN.md §10): with
 // lognormal counter noise, stale reads, AND resctrl fault injection active
-// at the same time,
-//
-//   1. the latency-critical app's CLOS never drops below the configured
-//      way floor — not in the governor's plan, not in the actuated mask —
-//      no matter what the noisy miss estimates tell the classifier;
-//   2. whenever the unfairness-trend governor engages BACKOFF, the manager
-//      re-probes (or enters the degraded phase) within the configured
-//      backoff window — noise cannot park the controller forever.
+// at the same time, the latency-critical app's CLOS never drops below the
+// configured way floor — not in the governor's plan, not in the actuated
+// mask — no matter what the noisy miss estimates tell the classifier. The
+// schedules also pin that every armed resctrl point was queried.
 //
 // Runs under `ctest -L chaos` as well as the default pass.
 #include <array>
@@ -69,7 +65,7 @@ void ExpectEveryArmedPointQueried(const PointQueries& queries) {
   }
 }
 
-// Property 1: the §6.3-style serving consolidation (memcached LC + two
+// The §6.3-style serving consolidation (memcached LC + two
 // batch apps) with noisy sensing on top of the schemata fault storm.
 void RunLcFloorSchedule(uint64_t seed, PointQueries* queries) {
   FaultInjector injector(seed);
@@ -134,88 +130,6 @@ TEST(SensingChaosTest, LcClosNeverDropsBelowFloorUnderNoiseAndFaults) {
       return;
     }
   }
-  ExpectEveryArmedPointQueried(queries);
-}
-
-// Property 2: a batch consolidation with a hair-trigger trend governor
-// (any measured unfairness increase during exploration engages BACKOFF).
-// Whenever the FSM is observed in BACKOFF, a re-probe or a degraded entry
-// must follow within backoff_periods ticks.
-void RunBackoffSchedule(uint64_t seed, uint64_t* total_backoffs,
-                        PointQueries* queries) {
-  FaultInjector injector(seed);
-  MachineConfig machine_config;
-  machine_config.fault_injector = &injector;
-  SimulatedMachine machine(machine_config);
-  Resctrl resctrl(&machine);
-  PerfMonitor monitor(&machine);
-  monitor.ConfigureSensing(NoisySensing(seed ^ 0xB0FFULL));
-
-  ResourceManagerParams params;
-  params.trend.enabled = true;
-  params.trend.warmup_periods = 1;
-  params.trend.increase_factor = 1.0;  // Any rise counts.
-  params.trend.max_increasing_intervals = 1;
-  params.trend.backoff_periods = 6;
-  ResourceManager manager(&resctrl, &monitor, params);
-
-  for (const WorkloadDescriptor& batch :
-       {Cg(), OceanCp(), WaterNsquared(), Swaptions()}) {
-    Result<AppId> app = machine.LaunchApp(batch, 4);
-    ASSERT_TRUE(app.ok());
-    ASSERT_TRUE(manager.AddApp(*app).ok());
-  }
-  ArmResctrlFaults(injector, 0.05);
-
-  int backoff_age = -1;  // Non-degraded periods in BACKOFF; -1 = not in it.
-  bool saw_degraded = false;
-  uint64_t reprobes_at_entry = 0;
-  for (int period = 0; period < 400; ++period) {
-    machine.AdvanceTime(0.5);
-    manager.Tick();
-
-    if (manager.trend_state() == TrendState::kBackoff) {
-      if (manager.phase() == ManagerPhase::kDegraded) {
-        // A failed best-state restore pauses the countdown; degraded
-        // recovery restarts adaptation (and disarms BACKOFF) itself.
-        saw_degraded = true;
-        continue;
-      }
-      if (backoff_age < 0) {
-        backoff_age = 0;
-        saw_degraded = false;
-        reprobes_at_entry = manager.trend_reprobes();
-      } else {
-        ++backoff_age;
-      }
-      ASSERT_LE(backoff_age, params.trend.backoff_periods)
-          << "seed " << seed << " period " << period
-          << ": BACKOFF outlived its window without re-probing";
-    } else if (backoff_age >= 0) {
-      // Left BACKOFF: via the window-expiry re-probe or via a degraded
-      // interlude's recovery, never by silently wedging.
-      EXPECT_TRUE(manager.trend_reprobes() > reprobes_at_entry ||
-                  saw_degraded)
-          << "seed " << seed << " period " << period;
-      backoff_age = -1;
-    }
-  }
-  *total_backoffs += manager.trend_backoffs();
-  AddPointQueries(injector, queries);
-}
-
-TEST(SensingChaosTest, BackoffAlwaysReprobesWithinItsWindow) {
-  uint64_t total_backoffs = 0;
-  PointQueries queries{};
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RunBackoffSchedule(seed, &total_backoffs, &queries);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
-  // The property must not pass vacuously: the hair-trigger governor has to
-  // have engaged at least once across the schedules.
-  EXPECT_GT(total_backoffs, 0u);
   ExpectEveryArmedPointQueried(queries);
 }
 

@@ -165,7 +165,7 @@ TEST_F(TelemetryTest, DegradedTransitionsAreAudited) {
       EXPECT_TRUE(record.degraded);
       // The failure streak that tripped it.
       EXPECT_EQ(record.failure_streak,
-                ActuationParams{}.max_consecutive_failures);
+                ResourceManager::kMaxConsecutiveFailures);
     } else if (std::strcmp(record.detail, "degraded_recovery") == 0) {
       ++recoveries;
       EXPECT_STREQ(record.phase, "profiling");

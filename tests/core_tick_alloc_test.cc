@@ -142,6 +142,26 @@ TEST(CoreTickAllocTest, CoPartExplorationTicksDoNotAllocate) {
   EXPECT_GT(counted, 10);
 }
 
+TEST(CoreTickAllocTest, CoPartProfilingHandOverDoesNotAllocate) {
+  // The tick whose last probe hands over to exploration writes the opening
+  // fair share into the policy's decision in place.
+  Node node(MachineConfig{}, "copart", 2);
+  const std::vector<WorkloadDescriptor> registry = AllTable2Benchmarks();
+  for (size_t i = 0; i < 8; ++i) {
+    node.Admit(registry[i % registry.size()]);
+  }
+  ASSERT_EQ(node.manager().phase(), Phase::kProfiling);
+  for (int period = 0; period < 100; ++period) {
+    const long allocations = AllocationsDuring([&] { node.Tick(); });
+    if (node.manager().phase() != Phase::kProfiling) {
+      ASSERT_EQ(node.manager().phase(), Phase::kExploration);
+      EXPECT_EQ(allocations, 0);
+      return;
+    }
+  }
+  FAIL() << "profiling never handed over to exploration";
+}
+
 TEST(CoreTickAllocTest, LfocPlusExplorationTicksDoNotAllocate) {
   const PolicyAbScenario scenario = ManyAppsScenario(48);
   Node node(scenario.machine, "lfoc+", scenario.cores_per_app);

@@ -81,9 +81,11 @@ TEST(ExperimentTest, CoPartReportsExplorationOverhead) {
 }
 
 TEST(ExperimentTest, BaselinesSurviveAResctrlFaultStorm) {
-  // One in five schemata writes and app bindings fails. Every baseline runs
-  // through the manager's transactional actuation, so a failed admission
-  // leaves the app unmanaged and a failed write is retried — none aborts.
+  // The first and then one in five schemata writes and app bindings fail.
+  // Every baseline runs through the manager's transactional actuation, so
+  // a failed admission leaves the app unmanaged and a failed write is
+  // retried — none aborts. The scripted first failure keeps the storm
+  // non-vacuous for NoPart, which issues only five such writes in a run.
   const WorkloadMix mix = MakeMix(MixFamily::kHighBoth, 4);
   const std::pair<std::string, PolicyFactory> baselines[] = {
       {"EQ", EqFactory()},         {"ST", StaticOracleFactory()},
@@ -94,6 +96,7 @@ TEST(ExperimentTest, BaselinesSurviveAResctrlFaultStorm) {
     FaultInjector injector(7);
     FaultSpec storm;
     storm.probability = 0.2;
+    storm.one_shot_queries = {0};
     injector.Arm(fault_points::kResctrlSetL3, storm);
     injector.Arm(fault_points::kResctrlAssignApp, storm);
     ExperimentConfig config;

@@ -124,7 +124,7 @@ TEST_F(ChaosAuditTest, ActuationFailureRecordsCarryRollbackAnnotations) {
     max_streak = std::max(max_streak, record.failure_streak);
   }
   // The streak annotation climbs toward the degraded threshold: the record
-  // that tripped degraded entry carries streak max_consecutive_failures-1
+  // that tripped degraded entry carries streak kMaxConsecutiveFailures - 1
   // (the streak *before* that failure; degraded-phase retries restart at 0).
   EXPECT_EQ(max_streak, 4);
 

@@ -1,6 +1,7 @@
 // SLO governor registry + implementations (src/slo). Covers the registry
-// contract, the threshold walk invariants the extraction preserved, the
-// MPC correction learning, and the bandit's deterministic exploration.
+// contract, the invariants of the one walk (SloGovernor::Plan, the
+// threshold governor itself), the MPC correction learning, and the
+// bandit's deterministic exploration.
 #include "slo/slo_governor.h"
 
 #include <cmath>
@@ -12,7 +13,6 @@
 #include "serve/queue_model.h"
 #include "slo/bandit_governor.h"
 #include "slo/mpc_governor.h"
-#include "slo/threshold_governor.h"
 
 namespace copart {
 namespace {
@@ -95,7 +95,7 @@ TEST(SloGovernorRegistryTest, EveryGovernorIsDeterministicPerHistory) {
 }
 
 TEST(ThresholdGovernorTest, PicksSmallestWidthMeetingSloWithHeadroom) {
-  ThresholdSloGovernor governor(DefaultParams(), LinearModel());
+  SloGovernor governor(DefaultParams(), LinearModel());
   // 1 way serves 1000 rps. At 500 rps offered the floor width (2 ways ->
   // 2000 rps service) gives p95 = -ln(.05)/1500 s ~ 2ms <= 5/1.25 = 4ms.
   const SloDecision d = governor.Plan(500.0, 10, 0, 100);
@@ -106,18 +106,17 @@ TEST(ThresholdGovernorTest, PicksSmallestWidthMeetingSloWithHeadroom) {
 }
 
 TEST(ThresholdGovernorTest, UnattainableTakesMaxWaysAndCapsBatchMba) {
-  ThresholdSloGovernor governor(DefaultParams(), LinearModel());
+  SloGovernor governor(DefaultParams(), LinearModel());
   // 50 krps offered but 4 ways serve at most 4000 rps: unattainable.
   const SloDecision d = governor.Plan(50000.0, 4, 0, 100);
   EXPECT_EQ(d.lc_ways, 4u);
   EXPECT_FALSE(d.attainable);
-  EXPECT_EQ(d.batch_mba_percent, 50u);  // batch_mba_protect_percent.
+  EXPECT_EQ(d.batch_mba_percent, SloGovernor::kBatchMbaProtectPercent);
 }
 
 TEST(ThresholdGovernorTest, ShrinkHysteresisKeepsWidthNearBoundary) {
-  SloParams params = DefaultParams();
-  params.shrink_load_margin = 1.2;
-  ThresholdSloGovernor governor(params, LinearModel());
+  static_assert(SloGovernor::kShrinkLoadMargin == 1.2);
+  SloGovernor governor(DefaultParams(), LinearModel());
   // At 3000 rps a fresh plan needs 4 ways (4000-3000 rps of slack gives
   // p95 3ms <= the 4ms target); at 3000*1.2 = 3600 it needs 5 (4 ways
   // leave 400 rps slack -> 7.5ms). Holding 5 ways, a dip to 3000 may
@@ -132,9 +131,7 @@ TEST(ThresholdGovernorTest, ShrinkHysteresisKeepsWidthNearBoundary) {
 }
 
 TEST(MpcGovernorTest, StartsFromOptimisticPriorThenLearnsCorrection) {
-  SloParams params = DefaultParams();
-  params.mpc.min_cell_samples = 2;
-  MpcSloGovernor governor(params, LinearModel());
+  MpcSloGovernor governor(DefaultParams(), LinearModel());
   EXPECT_DOUBLE_EQ(governor.CorrectionFor(2, 500.0), 1.0);
 
   // Feed outcomes where the measured p95 is 3x the analytic prediction.
@@ -153,8 +150,7 @@ TEST(MpcGovernorTest, StartsFromOptimisticPriorThenLearnsCorrection) {
 }
 
 TEST(MpcGovernorTest, LearnedCorrectionWidensThePlan) {
-  SloParams params = DefaultParams();
-  MpcSloGovernor governor(params, LinearModel());
+  MpcSloGovernor governor(DefaultParams(), LinearModel());
   const SloDecision before = governor.Plan(500.0, 10, 0, 100);
   EXPECT_EQ(before.lc_ways, 2u);
   // Teach it that p95 at 2 ways/this load runs 3x the analytic value —
@@ -172,8 +168,7 @@ TEST(MpcGovernorTest, LearnedCorrectionWidensThePlan) {
 }
 
 TEST(MpcGovernorTest, StalledOutcomeRecordsMaxCorrection) {
-  SloParams params = DefaultParams();
-  MpcSloGovernor governor(params, LinearModel());
+  MpcSloGovernor governor(DefaultParams(), LinearModel());
   for (int i = 0; i < 10; ++i) {
     SloOutcome outcome;
     outcome.offered_rps = 500.0;
@@ -182,16 +177,15 @@ TEST(MpcGovernorTest, StalledOutcomeRecordsMaxCorrection) {
     outcome.stalled = true;
     governor.ObserveOutcome(outcome);
   }
-  EXPECT_NEAR(governor.CorrectionFor(2, 500.0), params.mpc.max_correction,
+  EXPECT_NEAR(governor.CorrectionFor(2, 500.0), MpcSloGovernor::kMaxCorrection,
               1e-9);
 }
 
 TEST(MpcGovernorTest, PredictiveProtectionEngagesOnPessimisticMarginal) {
-  SloParams params = DefaultParams();
-  params.mpc.protect_correction = 1.5;
-  MpcSloGovernor governor(params, LinearModel());
+  static_assert(MpcSloGovernor::kProtectCorrection < 2.0);
+  MpcSloGovernor governor(DefaultParams(), LinearModel());
   const double analytic = PredictedP95Ms(500.0, 2000.0);
-  // Corrections land at 2.0 > protect_correction, but keep the corrected
+  // Corrections land at 2.0 > kProtectCorrection, but keep the corrected
   // p95 attainable at wider widths so only the learned signal protects.
   for (int i = 0; i < 10; ++i) {
     SloOutcome outcome;
@@ -202,12 +196,11 @@ TEST(MpcGovernorTest, PredictiveProtectionEngagesOnPessimisticMarginal) {
   }
   const SloDecision d = governor.Plan(500.0, 10, 0, 100);
   EXPECT_TRUE(d.attainable);
-  EXPECT_EQ(d.batch_mba_percent, 50u);
+  EXPECT_EQ(d.batch_mba_percent, SloGovernor::kBatchMbaProtectPercent);
 }
 
 TEST(BanditGovernorTest, ExploresArmsInDeclarationOrderThenExploits) {
-  SloParams params = DefaultParams();
-  BanditSloGovernor governor(params, LinearModel());
+  BanditSloGovernor governor(DefaultParams(), LinearModel());
   // Same context each period (same load, phase 0): the first four plans
   // walk the arms {0, +1, +2, -1} around the base width 2.
   const uint32_t expected_first_widths[] = {2, 3, 4, 2};  // -1 clamps to floor.
@@ -221,7 +214,7 @@ TEST(BanditGovernorTest, ExploresArmsInDeclarationOrderThenExploits) {
     governor.ObserveOutcome(outcome);
   }
   EXPECT_EQ(governor.rewards_observed(), 4);
-  // All arms met the SLO; the way_cost shaping prefers the narrowest, so
+  // All arms met the SLO; the kWayCost shaping prefers the narrowest, so
   // exploitation settles at the base width.
   SloDecision d = governor.Plan(500.0, 10, 0, 100);
   EXPECT_EQ(d.lc_ways, 2u);
@@ -245,8 +238,7 @@ TEST(BanditGovernorTest, ViolationsSteerTowardWiderArms) {
 }
 
 TEST(BanditGovernorTest, PhaseChangeSwitchesContext) {
-  SloParams params = DefaultParams();
-  BanditSloGovernor governor(params, LinearModel());
+  BanditSloGovernor governor(DefaultParams(), LinearModel());
   // Converge in phase 0.
   for (int i = 0; i < 20; ++i) {
     const SloDecision d = governor.Plan(500.0, 10, 0, 100);

@@ -117,8 +117,9 @@ trap 'rm -f "$FRESH" "$FRESH_INJ" "$FRESH_SERVE" "$FRESH_GOVERNOR" \
 # (set -e aborts): an invariant break makes the perf numbers moot.
 "$BUILD_DIR/bench/bench_fleet" --json="$FRESH_FLEET" --min-seconds=0.5
 
-# The bench emits one result object per line:
-#   {"mode": "exact", "apps": 2, "epochs_per_sec": 12345.6},
+# Every bench emits one result object per line, in one of two shapes:
+#   {"mode": "exact", "apps": 2, "epochs_per_sec": 12345.6}   (sim_throughput)
+#   {"point": "engine_requests_per_sec", "value": 123.4}      (the others)
 # so plain grep/sed suffice — no JSON parser needed.
 point_value() {  # point_value FILE MODE APPS -> epochs_per_sec (or empty)
   grep "\"mode\": \"$2\", \"apps\": $3," "$1" |
@@ -126,235 +127,113 @@ point_value() {  # point_value FILE MODE APPS -> epochs_per_sec (or empty)
 }
 
 fail=0
-check_run() {  # check_run FILE LABEL — gate every baseline point in FILE
-  local file="$1" label="$2"
+# gate_points FILE LABEL BASELINE FIELD NAME_RE VALUE_RE [BAND_RE EXACT_RE]
+# Gates every baseline point of BASELINE against the fresh run in FILE.
+# FIELD is epochs_per_sec for mode/apps points (NAME_RE matches the mode)
+# or value for named points (NAME_RE matches the name); VALUE_RE matches a
+# value. Without BAND_RE every point gets the one-sided REGRESSION_PCT
+# band. With it, only names matching BAND_RE do; names matching EXACT_RE
+# must equal the baseline exactly, and the rest are reported, not gated.
+gate_points() {
+  local file="$1" label="$2" baseline="$3" field="$4" name_re="$5"
+  local value_re="$6" band_re="${7:-}" exact_re="${8:-}"
+  local line name point select base now floor verdict
   while IFS= read -r line; do
-    mode="$(printf '%s\n' "$line" | sed -n 's/.*"mode": "\([a-z_]*\)".*/\1/p')"
-    apps="$(printf '%s\n' "$line" | sed -n 's/.*"apps": \([0-9]*\).*/\1/p')"
-    base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"epochs_per_sec": \([0-9.]*\).*/\1/p')"
-    [[ -n "$mode" && -n "$apps" && -n "$base" ]] || continue
-    now="$(point_value "$file" "$mode" "$apps")"
-    if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] mode=$mode apps=$apps" \
-        "missing from fresh run"
-      fail=1
-      continue
-    fi
-    # now < base * (1 - pct/100) ?
-    floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
-      'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
-    verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-    if [[ "$verdict" == 1 ]]; then
-      echo "run_perf_smoke: FAIL [$label] mode=$mode apps=$apps" \
-        "epochs_per_sec=$now < floor=$floor (baseline=$base)"
-      fail=1
+    if [[ "$field" == epochs_per_sec ]]; then
+      local mode apps
+      mode="$(printf '%s\n' "$line" |
+        sed -n "s/.*\"mode\": \"\($name_re\)\".*/\1/p")"
+      apps="$(printf '%s\n' "$line" | sed -n 's/.*"apps": \([0-9]*\).*/\1/p')"
+      [[ -n "$mode" && -n "$apps" ]] || continue
+      point="$mode"
+      name="mode=$mode apps=$apps"
+      select="\"mode\": \"$mode\", \"apps\": $apps,"
     else
-      echo "run_perf_smoke: ok   [$label] mode=$mode apps=$apps" \
-        "epochs_per_sec=$now (baseline=$base, floor=$floor)"
+      point="$(printf '%s\n' "$line" |
+        sed -n "s/.*\"point\": \"\($name_re\)\".*/\1/p")"
+      [[ -n "$point" ]] || continue
+      name="point=$point"
+      select="\"point\": \"$point\""
     fi
-  done < <(grep '"epochs_per_sec"' "$BASELINE")
-}
-
-check_run "$FRESH" "plain"
-check_run "$FRESH_INJ" "injector-disarmed"
-
-# bench_serve points: {"point": "engine_requests_per_sec", "value": 123.4}
-serve_point_value() {  # serve_point_value FILE POINT -> value (or empty)
-  grep "\"point\": \"$2\"" "$1" |
-    sed -n 's/.*"value": \([0-9.]*\).*/\1/p'
-}
-
-check_serve_run() {  # check_serve_run FILE LABEL
-  local file="$1" label="$2"
-  while IFS= read -r line; do
-    point="$(printf '%s\n' "$line" |
-      sed -n 's/.*"point": "\([a-z_]*\)".*/\1/p')"
     base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"value": \([0-9.]*\).*/\1/p')"
-    [[ -n "$point" && -n "$base" ]] || continue
-    now="$(serve_point_value "$file" "$point")"
+      sed -n "s/.*\"$field\": \($value_re\).*/\1/p")"
+    [[ -n "$base" ]] || continue
+    now="$(grep "$select" "$file" |
+      sed -n "s/.*\"$field\": \($value_re\).*/\1/p")"
     if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point missing from fresh run"
+      echo "run_perf_smoke: FAIL [$label] $name missing from fresh run"
       fail=1
-      continue
-    fi
-    floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
-      'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
-    verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-    if [[ "$verdict" == 1 ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point" \
-        "value=$now < floor=$floor (baseline=$base)"
-      fail=1
-    else
-      echo "run_perf_smoke: ok   [$label] point=$point" \
-        "value=$now (baseline=$base, floor=$floor)"
-    fi
-  done < <(grep '"point"' "$SERVE_BASELINE")
-}
-
-check_serve_run "$FRESH_SERVE" "serve"
-
-# bench_governor points share bench_serve's one-object-per-line shape:
-#   {"point": "mpc_epochs_per_sec", "value": 123.4}
-check_governor_run() {  # check_governor_run FILE LABEL
-  local file="$1" label="$2"
-  while IFS= read -r line; do
-    point="$(printf '%s\n' "$line" |
-      sed -n 's/.*"point": "\([a-z_]*\)".*/\1/p')"
-    base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"value": \([0-9.]*\).*/\1/p')"
-    [[ -n "$point" && -n "$base" ]] || continue
-    now="$(serve_point_value "$file" "$point")"
-    if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point missing from fresh run"
-      fail=1
-      continue
-    fi
-    floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
-      'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
-    verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
-    if [[ "$verdict" == 1 ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point" \
-        "value=$now < floor=$floor (baseline=$base)"
-      fail=1
-    else
-      echo "run_perf_smoke: ok   [$label] point=$point" \
-        "value=$now (baseline=$base, floor=$floor)"
-    fi
-  done < <(grep '"point"' "$GOVERNOR_BASELINE")
-}
-
-check_governor_run "$FRESH_GOVERNOR" "governor"
-
-check_governor_overhead() {  # check_governor_overhead FILE LABEL
-  local file="$1" label="$2" pct verdict
-  pct="$(sed -n 's/.*"learned_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-    "$file")"
-  if [[ -z "$pct" ]]; then
-    echo "run_perf_smoke: FAIL [$label] learned_overhead_pct" \
-      "missing from fresh run"
-    fail=1
-    return
-  fi
-  verdict="$(awk -v p="$pct" -v max="$GOVERNOR_OVERHEAD_PCT" \
-    'BEGIN { print (p >= max) }')"
-  if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] learned-governor managed-loop" \
-      "overhead ${pct}% >= ${GOVERNOR_OVERHEAD_PCT}% vs threshold"
-    fail=1
-  else
-    echo "run_perf_smoke: ok   [$label] learned-governor managed-loop" \
-      "overhead ${pct}% < ${GOVERNOR_OVERHEAD_PCT}% vs threshold"
-  fi
-}
-
-check_governor_overhead "$FRESH_GOVERNOR" "governor"
-
-# bench_fleet points: same one-object-per-line shape as bench_serve, but
-# point names carry digits (fleet_p99_slowdown), and the outcome points are
-# deterministic — gated on exact equality rather than a band.
-fleet_point_value() {  # fleet_point_value FILE POINT -> value (or empty)
-  grep "\"point\": \"$2\"" "$1" |
-    sed -n 's/.*"value": \(-\{0,1\}[0-9.]*\).*/\1/p'
-}
-
-check_fleet_run() {  # check_fleet_run FILE LABEL
-  local file="$1" label="$2"
-  while IFS= read -r line; do
-    point="$(printf '%s\n' "$line" |
-      sed -n 's/.*"point": "\([a-z0-9_]*\)".*/\1/p')"
-    base="$(printf '%s\n' "$line" |
-      sed -n 's/.*"value": \(-\{0,1\}[0-9.]*\).*/\1/p')"
-    [[ -n "$point" && -n "$base" ]] || continue
-    now="$(fleet_point_value "$file" "$point")"
-    if [[ -z "$now" ]]; then
-      echo "run_perf_smoke: FAIL [$label] point=$point missing from fresh run"
-      fail=1
-      continue
-    fi
-    if [[ "$point" == "fleet_node_ticks_per_sec" ]]; then
-      # Throughput: the usual one-sided regression band.
+    elif [[ -z "$band_re" || "$point" =~ $band_re ]]; then
+      # now < base * (1 - pct/100) ?
       floor="$(awk -v b="$base" -v p="$REGRESSION_PCT" \
         'BEGIN { printf "%.1f", b * (1 - p / 100) }')"
       verdict="$(awk -v n="$now" -v f="$floor" 'BEGIN { print (n < f) }')"
       if [[ "$verdict" == 1 ]]; then
-        echo "run_perf_smoke: FAIL [$label] point=$point" \
-          "value=$now < floor=$floor (baseline=$base)"
+        echo "run_perf_smoke: FAIL [$label] $name" \
+          "$field=$now < floor=$floor (baseline=$base)"
         fail=1
       else
-        echo "run_perf_smoke: ok   [$label] point=$point" \
-          "value=$now (baseline=$base, floor=$floor)"
+        echo "run_perf_smoke: ok   [$label] $name" \
+          "$field=$now (baseline=$base, floor=$floor)"
       fi
-    elif [[ "$point" =~ $FLEET_EXACT_POINTS ]]; then
+    elif [[ "$point" =~ $exact_re ]]; then
       # Deterministic outcome: exact match, both directions.
       if [[ "$now" != "$base" ]]; then
-        echo "run_perf_smoke: FAIL [$label] point=$point" \
+        echo "run_perf_smoke: FAIL [$label] $name" \
           "value=$now != baseline=$base (deterministic point drifted —" \
           "behavior change, refresh the baseline deliberately)"
         fail=1
       else
-        echo "run_perf_smoke: ok   [$label] point=$point" \
-          "value=$now (exact match)"
+        echo "run_perf_smoke: ok   [$label] $name value=$now (exact match)"
       fi
     else
-      # Host-dependent thread scaling and the rollback ratio: reported,
-      # never gated.
-      echo "run_perf_smoke: info [$label] point=$point" \
+      echo "run_perf_smoke: info [$label] $name" \
         "value=$now (baseline=$base, not gated)"
     fi
-  done < <(grep '"point"' "$FLEET_BASELINE")
+  done < <(grep "\"$field\"" "$baseline")
 }
 
-check_fleet_run "$FRESH_FLEET" "fleet"
-
-check_obs_overhead() {  # check_obs_overhead FILE LABEL
-  local file="$1" label="$2" pct
-  pct="$(sed -n 's/.*"obs_disabled_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-    "$file")"
+# gate_max_pct FILE LABEL KEY MAX WHAT [SUFFIX] — the fresh run's KEY (a
+# signed percentage) must stay below MAX; WHAT [SUFFIX] names it.
+gate_max_pct() {
+  local file="$1" label="$2" key="$3" max="$4" what="$5" suffix="${6:-}"
+  local pct verdict
+  pct="$(sed -n "s/.*\"$key\": \(-\{0,1\}[0-9.]*\).*/\1/p" "$file")"
   if [[ -z "$pct" ]]; then
-    echo "run_perf_smoke: FAIL [$label] obs_disabled_overhead_pct" \
-      "missing from fresh run"
+    echo "run_perf_smoke: FAIL [$label] $key missing from fresh run"
     fail=1
     return
   fi
-  local verdict
-  verdict="$(awk -v p="$pct" -v max="$OBS_OVERHEAD_PCT" \
-    'BEGIN { print (p >= max) }')"
+  verdict="$(awk -v p="$pct" -v max="$max" 'BEGIN { print (p >= max) }')"
   if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] disabled-observability overhead" \
-      "${pct}% >= ${OBS_OVERHEAD_PCT}%"
+    echo "run_perf_smoke: FAIL [$label] $what ${pct}% >= ${max}%$suffix"
     fail=1
   else
-    echo "run_perf_smoke: ok   [$label] disabled-observability overhead" \
-      "${pct}% < ${OBS_OVERHEAD_PCT}%"
+    echo "run_perf_smoke: ok   [$label] $what ${pct}% < ${max}%$suffix"
   fi
 }
-check_obs_overhead "$FRESH" "plain"
 
-check_sensing_overhead() {  # check_sensing_overhead FILE LABEL
-  local file="$1" label="$2" pct
-  pct="$(sed -n 's/.*"sensing_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
-    "$file")"
-  if [[ -z "$pct" ]]; then
-    echo "run_perf_smoke: FAIL [$label] sensing_overhead_pct" \
-      "missing from fresh run"
-    fail=1
-    return
-  fi
-  local verdict
-  verdict="$(awk -v p="$pct" -v max="$SENSING_OVERHEAD_PCT" \
-    'BEGIN { print (p >= max) }')"
-  if [[ "$verdict" == 1 ]]; then
-    echo "run_perf_smoke: FAIL [$label] sensing estimator overhead" \
-      "${pct}% >= ${SENSING_OVERHEAD_PCT}%"
-    fail=1
-  else
-    echo "run_perf_smoke: ok   [$label] sensing estimator overhead" \
-      "${pct}% < ${SENSING_OVERHEAD_PCT}%"
-  fi
-}
-check_sensing_overhead "$FRESH" "plain"
+UNSIGNED='[0-9.]*'
+SIGNED='-\{0,1\}[0-9.]*'
+gate_points "$FRESH" "plain" "$BASELINE" epochs_per_sec '[a-z_]*' "$UNSIGNED"
+gate_points "$FRESH_INJ" "injector-disarmed" "$BASELINE" epochs_per_sec \
+  '[a-z_]*' "$UNSIGNED"
+gate_points "$FRESH_SERVE" "serve" "$SERVE_BASELINE" value '[a-z_]*' \
+  "$UNSIGNED"
+gate_points "$FRESH_GOVERNOR" "governor" "$GOVERNOR_BASELINE" value \
+  '[a-z_]*' "$UNSIGNED"
+gate_max_pct "$FRESH_GOVERNOR" "governor" learned_overhead_pct \
+  "$GOVERNOR_OVERHEAD_PCT" "learned-governor managed-loop overhead" \
+  " vs threshold"
+# Fleet point names carry digits (fleet_p99_slowdown) and the outcome
+# points are deterministic: gated on exact equality rather than a band.
+# Host-dependent thread scaling and the rollback ratio are reported only.
+gate_points "$FRESH_FLEET" "fleet" "$FLEET_BASELINE" value '[a-z0-9_]*' \
+  "$SIGNED" '^fleet_node_ticks_per_sec$' "$FLEET_EXACT_POINTS"
+gate_max_pct "$FRESH" "plain" obs_disabled_overhead_pct "$OBS_OVERHEAD_PCT" \
+  "disabled-observability overhead"
+gate_max_pct "$FRESH" "plain" sensing_overhead_pct "$SENSING_OVERHEAD_PCT" \
+  "sensing estimator overhead"
 
 check_absolute_floor() {  # check_absolute_floor FILE LABEL MODE APPS FLOOR
   local file="$1" label="$2" mode="$3" apps="$4" floor="$5" now verdict
